@@ -198,8 +198,13 @@ func main() {
 		opts.Policy, c.Graph.NTasks(), c.Pipeline.NSubs())
 	fmt.Printf("allocation:     %v, %d TBs total, max %d per GPU\n",
 		opts.Alloc, c.Kernel.NTBs(), c.Kernel.MaxTBsPerRank())
-	fmt.Printf("phases:         parse %v, analyze %v, schedule %v, alloc %v, lower %v (total %v)\n",
-		c.Phases.Parse, c.Phases.Analyze, c.Phases.Schedule, c.Phases.Alloc, c.Phases.Lower, c.Phases.Total())
+	var phases []string
+	var total time.Duration
+	for _, st := range c.Stages {
+		phases = append(phases, fmt.Sprintf("%s %v", st.Name, st.Duration))
+		total += st.Duration
+	}
+	fmt.Printf("phases:         %s (total %v)\n", strings.Join(phases, ", "), total)
 
 	if *analyze != "" {
 		buf, err := parseSize(*analyze)
@@ -375,13 +380,13 @@ type vetConfig struct {
 // promotes warnings to errors). Operational failures keep the
 // compiler's usual exit 1.
 func vetPlan(k *kernel.Kernel, tp *topo.Topology, cfg vetConfig) {
-	r, err := analyze.Plan(k, analyze.Options{})
-	if err != nil {
+	budget := analyze.Budget{MaxTBsPerRank: cfg.budgetTB}
+	r, err := core.Vet(k, tp, analyze.CheckAll, budget, 0)
+	if r == nil {
 		fatal(err)
 	}
 	if tp != nil {
-		copts := cert.Options{Budget: cert.Budget{MaxTBsPerRank: cfg.budgetTB}}
-		r.Attach(k.Graph, cert.BudgetLints(k, tp, copts)...)
+		copts := cert.Options{Budget: budget}
 		if cfg.maxGap > 0 || cfg.certOut != "" {
 			crt, err := cert.Certify(k, tp, copts)
 			if err != nil {

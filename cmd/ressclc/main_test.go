@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -73,5 +75,68 @@ func TestSmokePlanRoundTrip(t *testing.T) {
 	}
 	if len(strings.TrimSpace(string(out))) == 0 {
 		t.Fatal("empty output from loaded plan")
+	}
+}
+
+// TestVetExitCodes pins the -vet exit convention: 0 on a clean plan, 3
+// when -strict promotes a budget warning, and 3 on a saved plan whose
+// thread-block program was reordered into a deadlock.
+func TestVetExitCodes(t *testing.T) {
+	bin := buildCmd(t)
+	exitCode := func(args ...string) (int, string) {
+		t.Helper()
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return ee.ExitCode(), string(out)
+		}
+		if err != nil {
+			t.Fatalf("ressclc %v: %v", args, err)
+		}
+		return 0, string(out)
+	}
+	ring := []string{"-algo", "ring-allreduce", "-nodes", "1", "-gpus", "8"}
+
+	if code, out := exitCode(append(ring, "-vet")...); code != 0 {
+		t.Fatalf("clean registry plan: exit %d, want 0\n%s", code, out)
+	}
+	if code, out := exitCode(append(ring, "-vet", "-strict", "-budget", "1")...); code != 3 || !strings.Contains(out, "budget-tb") {
+		t.Fatalf("-strict -budget 1: exit %d, want 3 with a budget-tb warning\n%s", code, out)
+	}
+
+	plan := filepath.Join(t.TempDir(), "plan.json")
+	if code, out := exitCode(append(ring, "-out", plan)...); code != 0 {
+		t.Fatalf("save: exit %d\n%s", code, out)
+	}
+	data, err := os.ReadFile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pf map[string]any
+	if err := json.Unmarshal(data, &pf); err != nil {
+		t.Fatal(err)
+	}
+	// Swapping the first two slots of a thread block makes it wait on
+	// a rendezvous its peer only reaches after this block's second one.
+	swapped := false
+	for _, tb := range pf["tbs"].([]any) {
+		slots := tb.(map[string]any)["slots"].([]any)
+		if len(slots) >= 2 {
+			slots[0], slots[1] = slots[1], slots[0]
+			swapped = true
+			break
+		}
+	}
+	if !swapped {
+		t.Fatal("no thread block with two slots to reorder")
+	}
+	if data, err = json.Marshal(pf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(plan, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := exitCode("-plan", plan, "-vet"); code != 3 || !strings.Contains(out, "deadlock") {
+		t.Fatalf("deadlocked plan: exit %d, want 3 with a deadlock error\n%s", code, out)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
@@ -118,21 +119,21 @@ func TestBudgetLintFires(t *testing.T) {
 	tp := topo.New(1, 8, topo.A100())
 	k := compileKernel(t, algo, tp, ir.ProtoSimple)
 
-	tight := BudgetLints(k, tp, Options{Budget: Budget{MaxTBsPerRank: 2}})
+	tight := analyze.BudgetLints(k, tp, 0, 0, analyze.Budget{MaxTBsPerRank: 2})
 	found := false
 	for _, d := range tight {
-		if d.Code == CodeBudgetTB {
+		if d.Code == analyze.CodeBudgetTB {
 			found = true
-			if !IsBudgetDiag(d.Code) {
-				t.Fatalf("IsBudgetDiag(%q) = false", d.Code)
+			if !analyze.IsBudgetDiag(d.Code) {
+				t.Fatalf("analyze.IsBudgetDiag(%q) = false", d.Code)
 			}
 		}
 	}
 	if !found {
-		t.Fatalf("tight budget produced no %s lint; got %v", CodeBudgetTB, tight)
+		t.Fatalf("tight budget produced no %s lint; got %v", analyze.CodeBudgetTB, tight)
 	}
 
-	if ds := BudgetLints(k, tp, Options{}); len(ds) != 0 {
+	if ds := analyze.BudgetLints(k, tp, 0, 0, analyze.Budget{}); len(ds) != 0 {
 		t.Fatalf("default budget flagged a sane plan: %v", ds)
 	}
 }
@@ -148,15 +149,15 @@ func TestBudgetMemLint(t *testing.T) {
 	}
 	tp := topo.New(1, 8, topo.A100())
 	k := compileKernel(t, algo, tp, ir.ProtoSimple)
-	ds := BudgetLints(k, tp, Options{Budget: Budget{MaxBufferFactor: 0.5}})
+	ds := analyze.BudgetLints(k, tp, 0, 0, analyze.Budget{MaxBufferFactor: 0.5})
 	found := false
 	for _, d := range ds {
-		if d.Code == CodeBudgetMem {
+		if d.Code == analyze.CodeBudgetMem {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("0.5× buffer budget produced no %s lint; got %v", CodeBudgetMem, ds)
+		t.Fatalf("0.5× buffer budget produced no %s lint; got %v", analyze.CodeBudgetMem, ds)
 	}
 }
 

@@ -4,37 +4,13 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/analyze"
-	"github.com/resccl/resccl/internal/kernel"
-	"github.com/resccl/resccl/internal/topo"
 )
 
-// The budget lints themselves live in internal/analyze (they are fully
-// static and ride every backend compile, which must not link the
-// simulator); cert re-exports them so certification call sites deal
-// with one package.
-const (
-	// CodeBudgetTB fires when a rank's peak concurrent thread-block
-	// occupancy exceeds the SM/channel budget.
-	CodeBudgetTB = analyze.CodeBudgetTB
-	// CodeBudgetMem fires when a rank's buffer high-water mark exceeds
-	// the memory budget.
-	CodeBudgetMem = analyze.CodeBudgetMem
-	// CodeGap fires when the certified optimality gap exceeds the
-	// configured threshold.
-	CodeGap = "cert-gap"
-)
-
-// IsBudgetDiag reports whether a diagnostic code is a resource-budget
-// violation — the class the replan gate refuses to relax.
-func IsBudgetDiag(code string) bool { return analyze.IsBudgetDiag(code) }
-
-// BudgetLints statically checks the plan against the budget — no
-// simulation — and returns SevWarn diagnostics for violations. It is
-// cheap enough to ride every backend compile.
-func BudgetLints(k *kernel.Kernel, tp *topo.Topology, opts Options) []analyze.Diag {
-	opts = opts.withDefaults()
-	return analyze.BudgetLints(k, tp, opts.BufferBytes, opts.ChunkBytes, opts.Budget)
-}
+// CodeGap fires when the certified optimality gap exceeds the
+// configured threshold. The budget lints live in internal/analyze
+// (analyze.BudgetLints): they are fully static and ride every compile's
+// vet stage, which must not link the simulator.
+const CodeGap = "cert-gap"
 
 // GapLint checks a certificate against a gap threshold (percent) and
 // returns a SevWarn diagnostic when exceeded, or nil. A non-positive

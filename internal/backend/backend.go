@@ -62,34 +62,15 @@ type Plan struct {
 	// observability (ResCCL reports its full pipeline; the baseline
 	// backends report a single "compile" stage).
 	Stages []obs.Stage
-	// Vet is the always-on static-analysis verdict (the analyzer's
-	// quick subset: structure, deadlock, pipeline invariants). Plans are
-	// cached by reference, so the verdict rides along with the cached
-	// plan and is never recomputed on a hit.
+	// Vet is the always-on static-analysis verdict of core.Vet (the
+	// analyzer's quick subset — structure, deadlock, pipeline invariants
+	// — plus the resource-budget lints as warnings). A plan that fails
+	// the quick subset would hang or corrupt a run, so its compile
+	// fails; an over-budget plan still runs correctly and is admitted,
+	// for `-strict` tooling, the tune sweep and the replan gate to act
+	// on. Plans are cached by reference, so the verdict rides along
+	// with the cached plan and is never recomputed on a hit.
 	Vet *analyze.Report
-}
-
-// vet runs the compile-time analysis gate on a freshly built plan. A
-// plan that fails the quick subset would hang or corrupt a run, so
-// compilation itself fails; the report is attached either way for
-// callers that inspect warnings. The resource-efficiency budget lints
-// (analyze.BudgetLints) ride along as warnings: an over-budget plan
-// still runs correctly, so the compile gate admits it, but `-strict`
-// tooling, the tune sweep and the replan gate act on the attached
-// findings.
-func vet(p *Plan, tp *topo.Topology) (*Plan, error) {
-	report, err := analyze.Plan(p.Kernel, analyze.Options{Checks: analyze.CheckQuick})
-	if err != nil {
-		return nil, fmt.Errorf("backend %s: vet: %w", p.Backend, err)
-	}
-	if tp != nil {
-		report.Attach(p.Kernel.Graph, analyze.BudgetLints(p.Kernel, tp, 0, 0, analyze.Budget{})...)
-	}
-	p.Vet = report
-	if err := report.Err(); err != nil {
-		return nil, fmt.Errorf("backend %s: compiled plan failed static analysis: %w", p.Backend, err)
-	}
-	return p, nil
 }
 
 // Backend compiles collectives into executable kernels.
@@ -103,19 +84,6 @@ func vet(p *Plan, tp *topo.Topology) (*Plan, error) {
 type Backend interface {
 	Name() string
 	Compile(ctx context.Context, req Request) (*Plan, error)
-}
-
-// ctxCheck is the standard compile-phase checkpoint: it returns a typed
-// cancellation error when ctx is done, nil otherwise. A nil ctx never
-// cancels, so internal callers without a lifecycle can pass nil safely.
-func ctxCheck(ctx context.Context, backendName, phase string) error {
-	if ctx == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%s: compile cancelled before %s: %w", backendName, phase, err)
-	}
-	return nil
 }
 
 // tbSpec describes one thread block while building a baseline kernel.

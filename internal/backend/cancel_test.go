@@ -3,9 +3,12 @@ package backend
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/resccl/resccl/internal/analyze"
+	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -35,6 +38,61 @@ func TestCompileCancelledAllBackends(t *testing.T) {
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: error %v does not unwrap to context.Canceled", b.Name(), err)
+		}
+	}
+}
+
+// probeCtx is a context whose Err reports cancellation from its
+// cancelAt-th call on (0 never cancels) and counts every call, so a test
+// can cancel a compile at any chosen stage boundary.
+type probeCtx struct {
+	context.Context
+	cancelAt, probes int
+}
+
+func (c *probeCtx) Err() error {
+	c.probes++
+	if c.cancelAt > 0 && c.probes >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCompileCancelledAtEveryStage cancels each backend at each of its
+// stage boundaries in turn: every boundary must stop the compile with a
+// typed cancellation naming that stage, and an uncancelled compile must
+// probe each boundary exactly once.
+func TestCompileCancelledAtEveryStage(t *testing.T) {
+	req := reqN(t, 4)
+	for _, tc := range []struct {
+		b      Backend
+		stages []string
+	}{
+		{NewResCCL(), []string{"check", "analyze", "schedule", "alloc", "lower", "vet"}},
+		{NewNCCL(), []string{"algorithm construction", "dependency analysis", "TB layout"}},
+		{NewMSCCL(), []string{"dependency analysis", "TB layout"}},
+	} {
+		ctx := &probeCtx{Context: context.Background()}
+		if _, err := tc.b.Compile(ctx, req); err != nil {
+			t.Fatalf("%s: uncancelled compile: %v", tc.b.Name(), err)
+		}
+		if ctx.probes != len(tc.stages) {
+			t.Errorf("%s: uncancelled compile probed ctx %d times, want one probe per boundary (%d)",
+				tc.b.Name(), ctx.probes, len(tc.stages))
+		}
+		for k, stage := range tc.stages {
+			ctx := &probeCtx{Context: context.Background(), cancelAt: k + 1}
+			plan, err := tc.b.Compile(ctx, req)
+			if plan != nil || !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: cancel before %s returned plan=%v err=%v, want context.Canceled", tc.b.Name(), stage, plan, err)
+				continue
+			}
+			if want := "cancelled before " + stage + ":"; !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: cancel at probe %d: %q does not name the stage (%q)", tc.b.Name(), k+1, err, want)
+			}
+			if ctx.probes != k+1 {
+				t.Errorf("%s: compile probed ctx %d times after cancelling at probe %d", tc.b.Name(), ctx.probes, k+1)
+			}
 		}
 	}
 }
@@ -269,5 +327,20 @@ func TestFingerprintFabricTiers(t *testing.T) {
 			t.Fatalf("fabric %d and %d share a fingerprint (cache collision)", prev, i)
 		}
 		seen[key] = i
+	}
+}
+
+// TestFingerprintChecks proves the vet subset is part of a ResCCL plan's
+// cache identity: the cached plan carries its vet report, so a backend
+// vetting at CheckAll must not be served a plan vetted at CheckQuick.
+func TestFingerprintChecks(t *testing.T) {
+	req := reqN(t, 4)
+	quick, ok1 := fingerprint(NewResCCL(), req)
+	all, ok2 := fingerprint(&ResCCL{Options: core.Options{Checks: analyze.CheckAll}}, req)
+	if !ok1 || !ok2 {
+		t.Fatal("ResCCL requests must be fingerprintable")
+	}
+	if quick == all {
+		t.Fatal("plans vetted at different check subsets share a fingerprint")
 	}
 }

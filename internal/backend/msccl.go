@@ -6,6 +6,8 @@ import (
 	"sort"
 	"time"
 
+	"github.com/resccl/resccl/internal/analyze"
+	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
@@ -48,7 +50,7 @@ func (m *MSCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	if !req.Protocol.Valid() {
 		return nil, fmt.Errorf("msccl: undefined protocol tier %d", int(req.Protocol))
 	}
-	if err := ctxCheck(ctx, "msccl", "dependency analysis"); err != nil {
+	if err := core.Checkpoint(ctx, "msccl", "dependency analysis"); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -56,7 +58,7 @@ func (m *MSCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxCheck(ctx, "msccl", "TB layout"); err != nil {
+	if err := core.Checkpoint(ctx, "msccl", "TB layout"); err != nil {
 		return nil, err
 	}
 	var specs []tbSpec
@@ -95,7 +97,11 @@ func (m *MSCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	k.MBBarrier = !stageLevel
 	k.Protocol = req.Protocol
 	stages := []obs.Stage{{Name: "compile", Duration: time.Since(start)}}
-	return vet(&Plan{Backend: m.Name(), Algo: req.Algo, Kernel: k, Stages: stages}, req.Topo)
+	vet, err := core.Vet(k, req.Topo, analyze.CheckQuick, analyze.Budget{}, 0)
+	if err != nil {
+		return nil, fmt.Errorf("msccl: vet: %w", err)
+	}
+	return &Plan{Backend: m.Name(), Algo: req.Algo, Kernel: k, Stages: stages, Vet: vet}, nil
 }
 
 // stageLevelTBs partitions tasks into stage groups (consecutive stages

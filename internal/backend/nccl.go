@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/resccl/resccl/internal/analyze"
+	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
@@ -82,7 +84,7 @@ func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	if req.Algo == nil || req.Topo == nil {
 		return nil, fmt.Errorf("nccl: request needs algorithm metadata and topology")
 	}
-	if err := ctxCheck(ctx, "nccl", "algorithm construction"); err != nil {
+	if err := core.Checkpoint(ctx, "nccl", "algorithm construction"); err != nil {
 		return nil, err
 	}
 	if !req.Protocol.Valid() {
@@ -135,14 +137,14 @@ func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 			return nil, err
 		}
 	}
-	if err := ctxCheck(ctx, "nccl", "dependency analysis"); err != nil {
+	if err := core.Checkpoint(ctx, "nccl", "dependency analysis"); err != nil {
 		return nil, err
 	}
 	g, err := dag.Build(algo, req.Topo)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxCheck(ctx, "nccl", "TB layout"); err != nil {
+	if err := core.Checkpoint(ctx, "nccl", "TB layout"); err != nil {
 		return nil, err
 	}
 	// One (sendTB, recvTB) pair per connection per channel: partition
@@ -171,5 +173,9 @@ func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	k.MBBarrier = true // algorithm-level (lazy) execution
 	k.Protocol = req.Protocol
 	stages := []obs.Stage{{Name: "compile", Duration: time.Since(compileStart)}}
-	return vet(&Plan{Backend: n.Name(), Algo: algo, Kernel: k, Stages: stages}, req.Topo)
+	vet, err := core.Vet(k, req.Topo, analyze.CheckQuick, analyze.Budget{}, 0)
+	if err != nil {
+		return nil, fmt.Errorf("nccl: vet: %w", err)
+	}
+	return &Plan{Backend: n.Name(), Algo: algo, Kernel: k, Stages: stages, Vet: vet}, nil
 }

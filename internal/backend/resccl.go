@@ -23,36 +23,19 @@ func NewResCCL() *ResCCL { return &ResCCL{} }
 // Name implements Backend.
 func (r *ResCCL) Name() string { return "ResCCL" }
 
-// Compile implements Backend. The full sched→talloc→kernel pipeline
-// checks ctx at each phase boundary (core.Compile), so cancellation
-// stops the pipeline at the next checkpoint.
+// Compile implements Backend: one run of core.Compile, which checks
+// ctx at every stage boundary and closes with the quick vet gate.
 func (r *ResCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	if req.Algo == nil || req.Topo == nil {
 		return nil, fmt.Errorf("resccl: request needs an algorithm and topology")
 	}
-	c, err := core.Compile(ctx, req.Algo, req.Topo, r.options(req))
-	if err != nil {
-		return nil, err
-	}
-	return vet(&Plan{Backend: r.Name(), Algo: req.Algo, Kernel: c.Kernel, Stages: c.Phases.Stages()}, req.Topo)
-}
-
-// options overlays the request's protocol tier (when forced) onto the
-// backend's configured options.
-func (r *ResCCL) options(req Request) core.Options {
 	opts := r.Options
 	if req.Protocol != ir.ProtoAuto {
 		opts.Protocol = req.Protocol
 	}
-	return opts
-}
-
-// CompileFull exposes the full compilation artifacts (pipeline,
-// assignment, phase timings) for experiments that inspect more than the
-// kernel.
-func (r *ResCCL) CompileFull(ctx context.Context, req Request) (*core.Compiled, error) {
-	if req.Algo == nil || req.Topo == nil {
-		return nil, fmt.Errorf("resccl: request needs an algorithm and topology")
+	c, err := core.Compile(ctx, req.Algo, req.Topo, opts)
+	if err != nil {
+		return nil, err
 	}
-	return core.Compile(ctx, req.Algo, req.Topo, r.options(req))
+	return &Plan{Backend: r.Name(), Algo: req.Algo, Kernel: c.Kernel, Stages: c.Stages, Vet: c.Vet}, nil
 }

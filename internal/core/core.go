@@ -1,9 +1,10 @@
 // Package core orchestrates the ResCCL backend-optimization workflow of
 // §4.1 (Fig. 5): parse (ResCCLang → algorithm), analyze (algorithm →
 // dependency DAG), schedule (HPDS → task pipeline), allocate (state-based
-// TB assignment) and lower (pipeline → lightweight kernel). It records
-// per-phase wall time, which Fig. 10(a) reports as the offline workflow
-// cost.
+// TB assignment) and lower (pipeline → lightweight kernel), closed by the
+// static-analysis vet gate. Compile is the one driver of that pipeline;
+// it records per-stage wall time, which Fig. 10(a) reports as the
+// offline workflow cost.
 package core
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
@@ -43,7 +45,7 @@ func (p AllocPolicy) String() string {
 
 // Options tune the compilation pipeline. The zero value is the paper's
 // default configuration: HPDS scheduling, state-based allocation, direct
-// kernels, 1 MiB chunks.
+// kernels, 1 MiB chunks, the quick vet subset.
 type Options struct {
 	Policy sched.Policy
 	Alloc  AllocPolicy
@@ -59,10 +61,10 @@ type Options struct {
 	// applies the tier's cost parameters at run time. The zero value
 	// (auto) behaves as Simple.
 	Protocol ir.Protocol
-	// SkipVerify disables the data-plane correctness check of the input
-	// algorithm. Verification is cheap and on by default; disable only
-	// for scalability measurements on very large synthetic plans.
-	SkipVerify bool
+	// Checks selects the analyzer passes of the closing vet stage:
+	// analyze.CheckQuick (the zero value), analyze.CheckGate or
+	// analyze.CheckAll.
+	Checks analyze.Checks
 }
 
 func (o Options) withDefaults() Options {
@@ -72,39 +74,10 @@ func (o Options) withDefaults() Options {
 	if o.WindowMB <= 0 {
 		o.WindowMB = 8
 	}
-	return o
-}
-
-// Phases records the wall time of each offline workflow phase (Fig.
-// 10(a)).
-type Phases struct {
-	Parse    time.Duration
-	Analyze  time.Duration
-	Schedule time.Duration
-	Alloc    time.Duration
-	Lower    time.Duration
-}
-
-// Total returns the end-to-end offline cost.
-func (p Phases) Total() time.Duration {
-	return p.Parse + p.Analyze + p.Schedule + p.Alloc + p.Lower
-}
-
-// Stages renders the phases as observability stages in pipeline order,
-// omitting phases that did not run (a zero Parse means the algorithm was
-// built programmatically rather than compiled from ResCCLang).
-func (p Phases) Stages() []obs.Stage {
-	stages := make([]obs.Stage, 0, 5)
-	if p.Parse > 0 {
-		stages = append(stages, obs.Stage{Name: "parse", Duration: p.Parse})
+	if o.Checks == 0 {
+		o.Checks = analyze.CheckQuick
 	}
-	stages = append(stages,
-		obs.Stage{Name: "analyze", Duration: p.Analyze},
-		obs.Stage{Name: "schedule", Duration: p.Schedule},
-		obs.Stage{Name: "alloc", Duration: p.Alloc},
-		obs.Stage{Name: "lower", Duration: p.Lower},
-	)
-	return stages
+	return o
 }
 
 // Compiled bundles every artifact of one compilation.
@@ -115,112 +88,163 @@ type Compiled struct {
 	Windows    *talloc.Windows
 	Assignment *talloc.Assignment
 	Kernel     *kernel.Kernel
-	Phases     Phases
-	Options    Options
+	// Stages is the wall time of each timed stage in pipeline order:
+	// parse (ResCCLang input only), analyze, schedule, alloc, lower.
+	Stages []obs.Stage
+	// Vet is the closing static-analysis report: Options.Checks plus
+	// the resource-budget lints, which are warnings.
+	Vet     *analyze.Report
+	Options Options
 }
 
-// checkpoint is the phase-boundary cancellation probe: a cancelled or
-// deadline-expired ctx stops the pipeline before the named phase with a
-// typed error (errors.Is context.Canceled / context.DeadlineExceeded).
-// A nil ctx never cancels.
-func checkpoint(ctx context.Context, phase string) error {
+// Checkpoint is the stage-boundary cancellation probe shared by every
+// compile pipeline: a cancelled or deadline-expired ctx stops the
+// compile before the named stage with a typed error (errors.Is
+// context.Canceled / context.DeadlineExceeded). who prefixes the
+// message. A nil ctx never cancels.
+func Checkpoint(ctx context.Context, who, stage string) error {
 	if ctx == nil {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: compile cancelled before %s: %w", phase, err)
+		return fmt.Errorf("%s: compile cancelled before %s: %w", who, stage, err)
 	}
 	return nil
 }
 
-// Compile runs the full ResCCL pipeline on an already-built algorithm.
-// Each phase boundary (verify → analyze → schedule → alloc → lower) is a
-// cancellation checkpoint for ctx, so a dropped caller stops burning CPU
-// at the next phase instead of completing the plan.
+// compilation is the state one run of the pipeline threads through its
+// stages.
+type compilation struct {
+	*Compiled
+	tp  *topo.Topology
+	src string
+}
+
+// pipeline is the offline workflow in order. Compile enters after
+// parse; CompileDSL runs all of it. Timed stages land in
+// Compiled.Stages; the data-plane check and the vet gate are untimed,
+// so the recorded stages keep Fig. 10(a)'s meaning.
+var pipeline = [...]struct {
+	name  string
+	timed bool
+	run   func(*compilation) error
+}{
+	{"parse", true, (*compilation).parse},
+	{"check", false, (*compilation).check},
+	{"analyze", true, (*compilation).analyzeDeps},
+	{"schedule", true, (*compilation).schedule},
+	{"alloc", true, (*compilation).alloc},
+	{"lower", true, (*compilation).lower},
+	{"vet", false, (*compilation).vet},
+}
+
+// Compile runs the ResCCL pipeline on an already-built algorithm. Every
+// stage boundary is a cancellation checkpoint for ctx, so a dropped
+// caller stops burning CPU at the next stage instead of completing the
+// plan. The data-plane postcondition check runs exactly when the
+// algorithm has the operator's default precondition (Initial == nil);
+// repair plans are proven by verify.Replay instead. A plan whose vet
+// report carries an error fails the compile.
 func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Options) (*Compiled, error) {
+	return run(ctx, &compilation{Compiled: &Compiled{Algo: algo}, tp: t}, opts, 1)
+}
+
+// CompileDSL parses ResCCLang source and compiles it, recording the
+// parse stage as well.
+func CompileDSL(ctx context.Context, src string, t *topo.Topology, opts Options) (*Compiled, error) {
+	return run(ctx, &compilation{Compiled: &Compiled{}, tp: t, src: src}, opts, 0)
+}
+
+func run(ctx context.Context, c *compilation, opts Options, first int) (*Compiled, error) {
 	opts = opts.withDefaults()
 	if !opts.Protocol.Valid() {
 		return nil, fmt.Errorf("core: undefined protocol tier %d", int(opts.Protocol))
 	}
-	c := &Compiled{Algo: algo, Options: opts}
-
-	if err := checkpoint(ctx, "verification"); err != nil {
-		return nil, err
-	}
-	if !opts.SkipVerify {
-		if err := collective.Check(algo); err != nil {
-			return nil, fmt.Errorf("core: algorithm %q fails its %v postcondition: %w", algo.Name, algo.Op, err)
+	c.Options = opts
+	c.Stages = make([]obs.Stage, 0, len(pipeline))
+	for _, s := range pipeline[first:] {
+		if err := Checkpoint(ctx, "core", s.name); err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		if err := s.run(c); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", s.name, err)
+		}
+		if s.timed {
+			c.Stages = append(c.Stages, obs.Stage{Name: s.name, Duration: time.Since(start)})
 		}
 	}
-
-	if err := checkpoint(ctx, "dependency analysis"); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	g, err := dag.Build(algo, t)
-	if err != nil {
-		return nil, fmt.Errorf("core: dependency analysis: %w", err)
-	}
-	c.Graph = g
-	c.Phases.Analyze = time.Since(start)
-
-	if err := checkpoint(ctx, "scheduling"); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	p, err := sched.Schedule(g, opts.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("core: scheduling: %w", err)
-	}
-	c.Pipeline = p
-	c.Phases.Schedule = time.Since(start)
-
-	if err := checkpoint(ctx, "TB allocation"); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	c.Windows = talloc.EstimateWindows(p, int(opts.ChunkBytes), opts.WindowMB)
-	switch opts.Alloc {
-	case AllocStateBased:
-		c.Assignment = talloc.StateBased(p, c.Windows)
-	case AllocConnectionBased:
-		c.Assignment = talloc.ConnectionBased(p, c.Windows)
-	default:
-		return nil, fmt.Errorf("core: unknown allocation policy %v", opts.Alloc)
-	}
-	c.Phases.Alloc = time.Since(start)
-
-	if err := checkpoint(ctx, "kernel lowering"); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	k, err := kernel.Generate(p, c.Assignment)
-	if err != nil {
-		return nil, fmt.Errorf("core: lowering: %w", err)
-	}
-	k.Mode = opts.Mode
-	k.Protocol = opts.Protocol
-	c.Kernel = k
-	c.Phases.Lower = time.Since(start)
-	return c, nil
+	return c.Compiled, nil
 }
 
-// CompileDSL parses ResCCLang source and compiles it, recording the
-// parse phase as well. The parse itself is preceded by a ctx checkpoint.
-func CompileDSL(ctx context.Context, src string, t *topo.Topology, opts Options) (*Compiled, error) {
-	if err := checkpoint(ctx, "parse"); err != nil {
-		return nil, err
+func (c *compilation) parse() (err error) {
+	c.Algo, err = lang.Compile(c.src)
+	return err
+}
+
+func (c *compilation) check() error {
+	if c.Algo.Initial != nil {
+		return nil
 	}
-	start := time.Now()
-	algo, err := lang.Compile(src)
+	if err := collective.Check(c.Algo); err != nil {
+		return fmt.Errorf("algorithm %q fails its %v postcondition: %w", c.Algo.Name, c.Algo.Op, err)
+	}
+	return nil
+}
+
+func (c *compilation) analyzeDeps() (err error) {
+	c.Graph, err = dag.Build(c.Algo, c.tp)
+	return err
+}
+
+func (c *compilation) schedule() (err error) {
+	c.Pipeline, err = sched.Schedule(c.Graph, c.Options.Policy)
+	return err
+}
+
+func (c *compilation) alloc() error {
+	c.Windows = talloc.EstimateWindows(c.Pipeline, int(c.Options.ChunkBytes), c.Options.WindowMB)
+	switch c.Options.Alloc {
+	case AllocStateBased:
+		c.Assignment = talloc.StateBased(c.Pipeline, c.Windows)
+	case AllocConnectionBased:
+		c.Assignment = talloc.ConnectionBased(c.Pipeline, c.Windows)
+	default:
+		return fmt.Errorf("unknown allocation policy %v", c.Options.Alloc)
+	}
+	return nil
+}
+
+func (c *compilation) lower() error {
+	k, err := kernel.Generate(c.Pipeline, c.Assignment)
+	if err != nil {
+		return err
+	}
+	k.Mode = c.Options.Mode
+	k.Protocol = c.Options.Protocol
+	c.Kernel = k
+	return nil
+}
+
+func (c *compilation) vet() (err error) {
+	c.Vet, err = Vet(c.Kernel, c.tp, c.Options.Checks, analyze.Budget{}, 0)
+	return err
+}
+
+// Vet is the static-analysis gate over a compiled plan: the analyzer
+// passes selected by checks (zero runs them all), then the
+// resource-budget lints against budget (zero fields take
+// analyze.DefaultBudget) at a per-rank payload of bufferBytes
+// (non-positive takes 64 MiB). Budget lints are warnings: an
+// over-budget plan still runs correctly. The error is non-nil when the
+// analysis could not run (nil report) or when the report carries an
+// error diagnostic; the report is then still returned for callers that
+// print every finding.
+func Vet(k *kernel.Kernel, tp *topo.Topology, checks analyze.Checks, budget analyze.Budget, bufferBytes int64) (*analyze.Report, error) {
+	rep, err := analyze.Plan(k, analyze.Options{Checks: checks})
 	if err != nil {
 		return nil, err
 	}
-	parse := time.Since(start)
-	c, err := Compile(ctx, algo, t, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.Phases.Parse = parse
-	return c, nil
+	rep.Attach(k.Graph, analyze.BudgetLints(k, tp, bufferBytes, 0, budget)...)
+	return rep, rep.Err()
 }

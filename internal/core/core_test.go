@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
@@ -13,6 +15,15 @@ import (
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/topo"
 )
+
+// stageNames lists the recorded stage names in order.
+func stageNames(c *Compiled) []string {
+	names := make([]string, len(c.Stages))
+	for i, st := range c.Stages {
+		names[i] = st.Name
+	}
+	return names
+}
 
 func TestCompileDefaults(t *testing.T) {
 	tp := topo.New(2, 4, topo.A100())
@@ -30,34 +41,46 @@ func TestCompileDefaults(t *testing.T) {
 	if c.Pipeline.Policy != sched.PolicyHPDS {
 		t.Error("default policy must be HPDS")
 	}
-	if c.Phases.Analyze <= 0 || c.Phases.Schedule <= 0 || c.Phases.Lower <= 0 {
-		t.Error("phase timings must be recorded")
+	// A built algorithm has no parse stage; the data-plane check and
+	// the vet gate are untimed.
+	if got, want := stageNames(c), []string{"analyze", "schedule", "alloc", "lower"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stages %v, want %v", got, want)
 	}
-	if c.Phases.Parse != 0 {
-		t.Error("Compile (non-DSL) has no parse phase")
+	for _, st := range c.Stages {
+		if st.Duration <= 0 {
+			t.Errorf("stage %s recorded no time", st.Name)
+		}
 	}
-	if c.Phases.Total() <= 0 {
-		t.Error("total phase time must be positive")
+	if c.Options.Checks != analyze.CheckQuick {
+		t.Errorf("default vet checks %v, want CheckQuick", c.Options.Checks)
+	}
+	if c.Vet == nil || !c.Vet.Clean() || c.Vet.Checks != analyze.CheckQuick {
+		t.Errorf("vet report %v, want a clean CheckQuick report", c.Vet)
 	}
 }
 
 func TestCompileRejectsIncorrectAlgorithm(t *testing.T) {
 	tp := topo.New(1, 4, topo.A100())
 	// An "AllGather" that never delivers anything to rank 3.
-	bad := &ir.Algorithm{
-		Name: "broken", Op: ir.OpAllGather, NRanks: 4, NChunks: 4,
-		Transfers: []ir.Transfer{
-			{Src: 0, Dst: 1, Step: 0, Chunk: 0, Type: ir.CommRecv},
-			{Src: 1, Dst: 2, Step: 0, Chunk: 1, Type: ir.CommRecv},
-		},
+	transfers := []ir.Transfer{
+		{Src: 0, Dst: 1, Step: 0, Chunk: 0, Type: ir.CommRecv},
+		{Src: 1, Dst: 2, Step: 0, Chunk: 1, Type: ir.CommRecv},
 	}
+	bad := &ir.Algorithm{Name: "broken", Op: ir.OpAllGather, NRanks: 4, NChunks: 4, Transfers: transfers}
 	if _, err := Compile(context.Background(), bad, tp, Options{}); err == nil {
 		t.Fatal("incomplete collective must fail verification")
 	}
-	// SkipVerify bypasses the data-plane gate (used by scalability
-	// studies) — the plan still compiles structurally.
-	if _, err := Compile(context.Background(), bad, tp, Options{SkipVerify: true}); err != nil {
-		t.Fatalf("SkipVerify compile failed: %v", err)
+	// The same transfers with an explicit precondition are a repair
+	// plan: the data-plane check does not apply (verify.Replay proves
+	// such plans), so the plan compiles structurally.
+	initial := make([][]bool, 4)
+	for r := range initial {
+		initial[r] = make([]bool, 4)
+		initial[r][r] = true
+	}
+	repair := &ir.Algorithm{Name: "broken", Op: ir.OpAllGather, NRanks: 4, NChunks: 4, Transfers: transfers, Initial: initial}
+	if _, err := Compile(context.Background(), repair, tp, Options{}); err != nil {
+		t.Fatalf("compile with explicit Initial failed: %v", err)
 	}
 }
 
@@ -75,8 +98,8 @@ def ResCCLAlgo(nRanks=4, AlgoName="Ring", OpType="Allgather"):
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Phases.Parse <= 0 {
-		t.Error("DSL compile must record parse time")
+	if got, want := stageNames(c), []string{"parse", "analyze", "schedule", "alloc", "lower"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("DSL stages %v, want %v", got, want)
 	}
 	if c.Algo.Name != "Ring" {
 		t.Errorf("algorithm name %q", c.Algo.Name)

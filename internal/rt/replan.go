@@ -11,10 +11,9 @@ package rt
 // consistent, dependency-closed frontier — while stranded sends burn
 // their retry budget and record the escalation. Afterwards Execute
 // snapshots the frontier's symbolic holdings (internal/verify), carves
-// the dead resources out of the topology, re-runs the
-// sched → talloc → kernel pipeline on a repair plan covering only the
-// remaining work (internal/replan), and resumes execution on the same
-// buffers.
+// the dead resources out of the topology, re-runs the core.Compile
+// pipeline on a repair plan covering only the remaining work
+// (internal/replan), and resumes execution on the same buffers.
 //
 // Determinism: the stranded set, frontier trace, carved topology and
 // repair plan are all pure functions of (kernel, schedule), so the
@@ -28,19 +27,17 @@ package rt
 // single replan epoch suffices.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"github.com/resccl/resccl/internal/analyze"
-	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/collective"
-	"github.com/resccl/resccl/internal/dag"
+	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/replan"
-	"github.com/resccl/resccl/internal/sched"
-	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/verify"
 )
@@ -175,41 +172,26 @@ func frontierTrace(ex *executor) []ir.Transfer {
 	return out
 }
 
-// compileRepair runs the repair algorithm through the full ResCCL
-// pipeline on the carved topology. Repair plans are always compiled with
-// the ResCCL pipeline regardless of the original backend: it is the only
-// pipeline that consumes an arbitrary topology.
+// compileRepair runs the repair algorithm through core.Compile on the
+// carved topology. Repair plans are always compiled with the ResCCL
+// pipeline regardless of the original backend: it is the only pipeline
+// that consumes an arbitrary topology.
 //
 // Before the repaired plan is allowed to resume on live buffers it must
-// pass the static analyzer's pre-resume gate: deadlock freedom, hazard
-// freedom and intact pipeline invariants, proven without executing. A
-// replan happens exactly when the system is already degraded — the one
-// moment a hung or racing plan would be catastrophic, and the one plan
-// the offline test matrix never saw.
+// pass the compile's vet stage at the analyzer's pre-resume gate subset
+// (analyze.CheckGate): deadlock freedom, hazard freedom and intact
+// pipeline invariants, proven without executing. A replan happens
+// exactly when the system is already degraded — the one moment a hung
+// or racing plan would be catastrophic, and the one plan the offline
+// test matrix never saw.
 // The repair kernel inherits the failed epoch's protocol tier: replans
 // happen mid-collective, when the transport tier on every surviving
 // rank is already committed.
 func compileRepair(algo *ir.Algorithm, tp *topo.Topology, nMB int, proto ir.Protocol) (*kernel.Kernel, error) {
-	g, err := dag.Build(algo, tp)
+	c, err := core.Compile(context.Background(), algo, tp, core.Options{
+		ChunkBytes: repairChunkBytes, WindowMB: nMB, Protocol: proto, Checks: analyze.CheckGate,
+	})
 	if err != nil {
-		return nil, err
-	}
-	pipe, err := sched.Schedule(g, sched.PolicyHPDS)
-	if err != nil {
-		return nil, err
-	}
-	w := talloc.EstimateWindows(pipe, repairChunkBytes, nMB)
-	alloc := talloc.StateBased(pipe, w)
-	k, err := kernel.Generate(pipe, alloc)
-	if err != nil {
-		return nil, err
-	}
-	k.Protocol = proto
-	report, err := analyze.Plan(k, analyze.Options{Checks: analyze.CheckGate})
-	if err != nil {
-		return nil, fmt.Errorf("rt: replan gate: %w", err)
-	}
-	if err := report.Err(); err != nil {
 		return nil, fmt.Errorf("rt: replan gate rejected the repair plan: %w", err)
 	}
 	// Resource-efficiency certification of repair plans: a degraded
@@ -218,12 +200,12 @@ func compileRepair(algo *ir.Algorithm, tp *topo.Topology, nMB int, proto ir.Prot
 	// healthy compile path; here they reject: a repair plan that
 	// over-subscribes SMs or buffers on an already-degraded system
 	// would amplify the incident it is meant to resolve.
-	for _, d := range cert.BudgetLints(k, tp, cert.Options{}) {
-		if cert.IsBudgetDiag(d.Code) {
+	for _, d := range c.Vet.Diags {
+		if analyze.IsBudgetDiag(d.Code) {
 			return nil, fmt.Errorf("rt: replan gate rejected the repair plan: %s: %s", d.Code, d.Message)
 		}
 	}
-	return k, nil
+	return c.Kernel, nil
 }
 
 // replanAndResume performs one plan-level recovery: snapshot, carve,

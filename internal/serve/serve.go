@@ -17,6 +17,7 @@ import (
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sim"
 )
@@ -227,13 +228,13 @@ func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeRes
 		if err != nil {
 			return err
 		}
-		rep, err := analyze.Plan(plan.Kernel, analyze.Options{})
-		if err != nil {
+		// Error diagnostics are findings to report, not a failed
+		// request; certification failure (e.g. a degenerate plan with
+		// no lower bound) is not an analysis error either.
+		rep, err := core.Vet(plan.Kernel, breq.Topo, analyze.CheckAll, analyze.Budget{}, req.BufferBytes)
+		if rep == nil {
 			return fmt.Errorf("serve: analyze: %w", err)
 		}
-		// Budget lints join the report; certification failure (e.g. a
-		// degenerate plan with no lower bound) is not an analysis error.
-		rep.Attach(plan.Kernel.Graph, cert.BudgetLints(plan.Kernel, breq.Topo, certOpts)...)
 		certificate, _ := cert.Certify(plan.Kernel, breq.Topo, certOpts)
 		errs, warns, infos := rep.Counts()
 		resp := &AnalyzeResponse{

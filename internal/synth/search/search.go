@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"github.com/resccl/resccl/internal/analyze"
-	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
@@ -219,33 +218,21 @@ func evaluate(tp *topo.Topology, g synth.Genome, bufferBytes int64, opts SearchO
 }
 
 // Gate runs the full correctness gauntlet on a synthesized algorithm —
-// the concrete data-plane execution check, the symbolic postcondition
-// verifier (within its rank bound) and the static analyzer's gate
-// subset over the compiled plan — and returns the compiled result. It
-// is the registration gate: nothing enters a beam, a registry or a
-// dispatch table without passing it.
+// the symbolic postcondition verifier (within its rank bound), then one
+// core.Compile at the analyzer's gate subset, which runs the concrete
+// data-plane execution check before the pipeline and the vet gate after
+// it — and returns the compiled result. It is the registration gate:
+// nothing enters a beam, a registry or a dispatch table without passing
+// it.
 func Gate(algo *ir.Algorithm, tp *topo.Topology, proto ir.Protocol) (*core.Compiled, error) {
-	if err := collective.Check(algo); err != nil {
-		return nil, fmt.Errorf("synth: %s failed data-plane check: %w", algo.Name, err)
-	}
 	if algo.NRanks <= verify.MaxRanks {
 		if _, err := verify.Check(algo.Op, algo.NRanks, algo.NChunks, nil, algo.Sorted(), verify.Expect{}); err != nil {
 			return nil, fmt.Errorf("synth: %s failed symbolic verification: %w", algo.Name, err)
 		}
 	}
-	compiled, err := core.Compile(context.Background(), algo, tp, core.Options{
-		Protocol:   proto,
-		SkipVerify: true, // the data-plane check above already ran
-	})
+	compiled, err := core.Compile(context.Background(), algo, tp, core.Options{Protocol: proto, Checks: analyze.CheckGate})
 	if err != nil {
-		return nil, fmt.Errorf("synth: %s failed to compile: %w", algo.Name, err)
-	}
-	report, err := analyze.Plan(compiled.Kernel, analyze.Options{Checks: analyze.CheckGate})
-	if err != nil {
-		return nil, fmt.Errorf("synth: %s failed analysis: %w", algo.Name, err)
-	}
-	if err := report.Err(); err != nil {
-		return nil, fmt.Errorf("synth: %s failed static analysis: %w", algo.Name, err)
+		return nil, fmt.Errorf("synth: %s failed the compile gate: %w", algo.Name, err)
 	}
 	return compiled, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
@@ -54,10 +55,10 @@ type Options struct {
 	Stats Stats
 	// Budget is the resource envelope candidates must fit before they
 	// are measured at all: any candidate whose compiled plan trips a
-	// cert.BudgetLints violation (peak thread blocks per rank, buffer
+	// analyze.BudgetLints violation (peak thread blocks per rank, buffer
 	// high-water mark) is pruned from the sweep and recorded in
-	// Result.Pruned. Nil applies cert.DefaultBudget.
-	Budget *cert.Budget
+	// Result.Pruned. Nil applies analyze.DefaultBudget.
+	Budget *analyze.Budget
 }
 
 // DefaultSizes is the full sweep grid: 64 KiB to 1 GiB in ×4 steps,
@@ -169,7 +170,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	}
 	opts = opts.withDefaults()
 	be := backend.NewResCCL()
-	budget := cert.DefaultBudget()
+	budget := analyze.DefaultBudget()
 	if opts.Budget != nil {
 		budget = *opts.Budget
 	}
@@ -198,12 +199,9 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			if err != nil {
 				return nil, fmt.Errorf("tune: budget pre-check %s/%v: %w", cand.Name, pruneProto, err)
 			}
-			lints := cert.BudgetLints(plan.Kernel, tp, cert.Options{
-				ChunkBytes: opts.ChunkBytes, Budget: budget,
-			})
 			pruned := false
-			for _, d := range lints {
-				if cert.IsBudgetDiag(d.Code) {
+			for _, d := range analyze.BudgetLints(plan.Kernel, tp, 0, opts.ChunkBytes, budget) {
+				if analyze.IsBudgetDiag(d.Code) {
 					res.Pruned = append(res.Pruned, Pruned{
 						Op: op, Name: cand.Name,
 						Reason: d.Code + ": " + d.Message,

@@ -10,7 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/resccl/resccl/internal/analyze/cert"
+	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -316,7 +316,7 @@ func TestSweepPrunesBudgetViolators(t *testing.T) {
 		Sizes:     []int64{1 << 20},
 		Protocols: []ir.Protocol{ir.ProtoSimple},
 		Quick:     true,
-		Budget:    &cert.Budget{MaxTBsPerRank: 2},
+		Budget:    &analyze.Budget{MaxTBsPerRank: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +330,8 @@ func TestSweepPrunesBudgetViolators(t *testing.T) {
 		pruned[p.Name] = true
 		if p.Name == "mesh-allgather" {
 			meshPruned = true
-			if !strings.Contains(p.Reason, cert.CodeBudgetTB) {
-				t.Errorf("mesh-allgather pruned for %q, want a %s violation", p.Reason, cert.CodeBudgetTB)
+			if !strings.Contains(p.Reason, analyze.CodeBudgetTB) {
+				t.Errorf("mesh-allgather pruned for %q, want a %s violation", p.Reason, analyze.CodeBudgetTB)
 			}
 		}
 	}
