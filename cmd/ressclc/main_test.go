@@ -139,4 +139,17 @@ func TestVetExitCodes(t *testing.T) {
 	if code, out := exitCode("-plan", plan, "-vet"); code != 3 || !strings.Contains(out, "deadlock") {
 		t.Fatalf("deadlocked plan: exit %d, want 3 with a deadlock error\n%s", code, out)
 	}
+
+	// A profile no cost model can price is refused at load time, before
+	// vet could report the plan clean.
+	pf["topology"].(map[string]any)["profile"].(map[string]any)["tbCapIntra"] = 0
+	if data, err = json.Marshal(pf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(plan, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := exitCode("-plan", plan, "-vet"); code != 1 || !strings.Contains(out, "tbCapIntra") {
+		t.Fatalf("zero tbCapIntra: exit %d, want 1 with an error naming the field\n%s", code, out)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/plangen"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -50,38 +52,52 @@ func compileKernel(t *testing.T, algo *ir.Algorithm, tp *topo.Topology, proto ir
 
 // TestGapNonNegative is the certifier's core soundness property: the
 // α–β lower bound never exceeds the simulated completion, for every
-// registered algorithm × shape (including a non-power-of-two) × tier.
+// registered algorithm × shape (including a non-power-of-two) × tier,
+// and for seeded random plans beyond the registry.
 func TestGapNonNegative(t *testing.T) {
-	shapes := []struct{ nodes, gpus int }{{1, 8}, {2, 8}, {3, 5}}
 	protos := []ir.Protocol{ir.ProtoLL, ir.ProtoLL128, ir.ProtoSimple}
+	check := func(name string, algo *ir.Algorithm, tp *topo.Topology) {
+		for _, proto := range protos {
+			t.Run(fmt.Sprintf("%s/%s", name, proto), func(t *testing.T) {
+				k := compileKernel(t, algo, tp, proto)
+				c, err := Certify(k, tp, Options{BufferBytes: 4 << 20})
+				if err != nil {
+					t.Fatalf("certify: %v", err)
+				}
+				if err := c.Verify(); err != nil {
+					t.Fatalf("certificate fails self-verification: %v", err)
+				}
+				if c.GapPct < 0 {
+					t.Fatalf("negative gap %.2f%%: completion %.3fµs below lower bound %.3fµs — bound is not a bound",
+						c.GapPct, c.CompletionUS, c.LowerBoundUS)
+				}
+				if c.LowerBoundUS <= 0 {
+					t.Fatalf("degenerate lower bound %.3fµs", c.LowerBoundUS)
+				}
+			})
+		}
+	}
+	shapes := []struct{ nodes, gpus int }{{1, 8}, {2, 8}, {3, 5}}
 	for _, b := range expert.Registry() {
 		for _, sh := range shapes {
-			algo, ok := buildFor(b, sh.nodes, sh.gpus)
-			if !ok {
-				continue
-			}
-			tp := topo.New(sh.nodes, sh.gpus, topo.A100())
-			for _, proto := range protos {
-				name := fmt.Sprintf("%s/%dx%d/%s", b.Name, sh.nodes, sh.gpus, proto)
-				t.Run(name, func(t *testing.T) {
-					k := compileKernel(t, algo, tp, proto)
-					c, err := Certify(k, tp, Options{BufferBytes: 4 << 20})
-					if err != nil {
-						t.Fatalf("certify: %v", err)
-					}
-					if err := c.Verify(); err != nil {
-						t.Fatalf("certificate fails self-verification: %v", err)
-					}
-					if c.GapPct < 0 {
-						t.Fatalf("negative gap %.2f%%: completion %.3fµs below lower bound %.3fµs — bound is not a bound",
-							c.GapPct, c.CompletionUS, c.LowerBoundUS)
-					}
-					if c.LowerBoundUS <= 0 {
-						t.Fatalf("degenerate lower bound %.3fµs", c.LowerBoundUS)
-					}
-				})
+			if algo, ok := buildFor(b, sh.nodes, sh.gpus); ok {
+				check(fmt.Sprintf("%s/%dx%d", b.Name, sh.nodes, sh.gpus), algo, topo.New(sh.nodes, sh.gpus, topo.A100()))
 			}
 		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 12; i++ {
+		nodes, gpus := 1+rng.Intn(2), 2+rng.Intn(3)
+		build := plangen.RandomAllGather
+		if rng.Intn(2) == 0 {
+			build = plangen.RandomAllReduce
+		}
+		algo, err := build(rng, nodes*gpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algo.Name = fmt.Sprintf("%s-%d", algo.Name, i)
+		check(fmt.Sprintf("%s/%dx%d", algo.Name, nodes, gpus), algo, topo.New(nodes, gpus, topo.A100()))
 	}
 }
 

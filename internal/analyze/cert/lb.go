@@ -16,7 +16,7 @@ import (
 //
 // Every term is a true lower bound of the simulator's cost model:
 //
-//   - Latency / critical-path term: every instance pays α·AlphaFactor
+//   - Latency / critical-path term: every instance pays its tier's α
 //     startup and moves its chunk at no more than the path's per-TB
 //     capability, instance m of a task depends on instance m of each
 //     dependency, and one task's instances serialize on its own thread
@@ -33,7 +33,7 @@ import (
 //     bytes of all tasks routed over it divided by its capacity. The
 //     max-min allocator never exceeds a resource's capacity, so moving
 //     B bytes across a resource of capacity C takes ≥ B/C regardless of
-//     schedule. Wire bytes inflate by 1/BWFactor (LL pays 2×, LL128
+//     schedule. Wire bytes inflate by the tier (LL pays 2×, LL128
 //     128/120) exactly as the simulator does. This term is plan-aware:
 //     it reflects the routing this plan actually chose.
 //
@@ -61,7 +61,7 @@ func LowerBound(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes int
 	if nChunks <= 0 {
 		nChunks = 1
 	}
-	perTaskWire := float64(bufferBytes) / float64(nChunks) / params.BWFactor
+	perTaskWire := params.WireBytes(float64(bufferBytes) / float64(nChunks))
 
 	plan := simcost.PlanFor(bufferBytes, params.EffectiveChunk(chunkBytes), nChunks)
 	latLB = latencyLB(g, params, plan)
@@ -82,18 +82,14 @@ func LowerBound(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes int
 }
 
 // latencyLB is the pipeline-aware critical-path floor: per-instance
-// cost per_t = α_t·AlphaFactor + chunkWire/TBCap_t, chained along data
+// cost per_t = InstanceCost(α_t, TBCap_t, chunk), chained along data
 // dependencies (instance m waits for dependencies' instance m, so
 // dependent tasks skew by one instance), plus the chain tail's
 // remaining n−1 instances serialized on its own thread block.
 func latencyLB(g *dag.Graph, params simcost.ProtocolParams, plan simcost.Plan) float64 {
 	per := func(t int) float64 {
 		p := g.Paths[t]
-		v := p.Alpha.Seconds() * params.AlphaFactor
-		if p.TBCap > 0 {
-			v += plan.ChunkBytes / params.BWFactor / p.TBCap
-		}
-		return v
+		return params.InstanceCost(p.Alpha.Seconds(), p.TBCap, plan.ChunkBytes)
 	}
 	tail := float64(plan.NMicroBatches - 1)
 	order, err := g.TopoOrder()
@@ -138,10 +134,7 @@ func tbSerialLB(k *kernel.Kernel, params simcost.ProtocolParams, plan simcost.Pl
 	busy := make([]float64, len(k.TBs))
 	for t := range g.Tasks {
 		p := g.Paths[t]
-		per := p.Alpha.Seconds() * params.AlphaFactor
-		if p.TBCap > 0 {
-			per += plan.ChunkBytes / params.BWFactor / p.TBCap
-		}
+		per := params.InstanceCost(p.Alpha.Seconds(), p.TBCap, plan.ChunkBytes)
 		if tb := k.SendTB[t]; tb >= 0 && tb < len(busy) {
 			busy[tb] += n * per
 		}

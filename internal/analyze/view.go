@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
@@ -87,6 +88,24 @@ func (v *planView) subTasks() [][]ir.TaskID {
 		}
 	}
 	return subs
+}
+
+// posOrder returns the kernel's tasks in the global pipeline order its
+// TaskPos table echoes, or nil when the kernel carries no order
+// (baseline kernels) or the table does not cover the task set.
+func posOrder(k *kernel.Kernel) []ir.TaskID {
+	n := len(k.Graph.Tasks)
+	if len(k.TaskPos) != n || n == 0 {
+		return nil
+	}
+	order := make([]ir.TaskID, n)
+	for t := range order {
+		order[t] = ir.TaskID(t)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return k.TaskPos[order[i]] < k.TaskPos[order[j]]
+	})
+	return order
 }
 
 // describeTask renders a task for diagnostics: its transfer tuple when

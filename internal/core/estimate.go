@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/dag"
+	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -45,34 +47,21 @@ func (e *StrategyEstimate) String() string {
 // when transferring bufferBytes per rank with the given target chunk
 // size.
 func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyEstimate, error) {
-	// Micro-batch geometry, mirroring sim.PlanFor: the buffer divides
-	// into NChunks chunks per micro-batch and the chunk shrinks so that
-	// n·chunk·NChunks covers the buffer exactly.
-	if bufferBytes <= 0 {
-		bufferBytes = 1
-	}
-	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
-	}
-	perMBBytes := chunkBytes * int64(g.Algo.NChunks)
-	nMB := int((bufferBytes + perMBBytes - 1) / perMBBytes)
-	if nMB < 1 {
-		nMB = 1
-	}
-	effChunk := float64(bufferBytes) / (float64(nMB) * float64(g.Algo.NChunks))
-	n := float64(nMB)
+	plan := simcost.PlanFor(bufferBytes, chunkBytes, g.Algo.NChunks)
+	n := float64(plan.NMicroBatches)
 	t := g.Topo
 
 	est := &StrategyEstimate{
-		MicroBatches: nMB,
-		ChunkBytes:   effChunk,
+		MicroBatches: plan.NMicroBatches,
+		ChunkBytes:   plan.ChunkBytes,
 	}
 
 	// Per-task single-chunk duration at full link rate (β = 1/linkBW).
+	simple := simcost.Params(ir.ProtoSimple)
 	dur := make([]float64, len(g.Tasks))
 	for i := range g.Tasks {
 		p := g.Paths[i]
-		dur[i] = p.Alpha.Seconds() + effChunk/p.TBCap
+		dur[i] = simple.InstanceCost(p.Alpha.Seconds(), p.TBCap, plan.ChunkBytes)
 	}
 
 	// Per-link load (m_e) and the bottleneck: link busy time per

@@ -10,7 +10,7 @@ import "fmt"
 // bandwidth) while keeping most of the latency win; Simple uses full
 // bandwidth but pays the full handshake latency per chunk. The tier is
 // plan metadata: compilation is protocol-independent, and the simulator
-// applies the tier's cost-model parameters (sim.Params) at run time.
+// applies the tier's cost-model parameters (simcost.Params) at run time.
 type Protocol int
 
 // Protocol tiers. ProtoAuto is the zero value so existing plans and

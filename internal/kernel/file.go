@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"github.com/resccl/resccl/internal/dag"
@@ -54,6 +55,34 @@ type fileProfile struct {
 	Gamma        float64 `json:"gamma"`
 	InterpNS     int64   `json:"interpCostNS"`
 	KernelLoadNS int64   `json:"kernelLoadNS"`
+}
+
+// check rejects a profile the cost model cannot price: bandwidths and
+// thread-block capabilities must be positive and finite, latencies and
+// the contention and interpreter terms non-negative. The error names
+// the offending JSON field.
+func (p fileProfile) check() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"nvlinkBW", p.NVLinkBW}, {"nicBW", p.NICBW}, {"tbCapIntra", p.TBCapIntra}, {"tbCapInter", p.TBCapInter}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("kernel: plan file profile field %s = %v, want > 0 and finite", f.name, f.v)
+		}
+	}
+	if !(p.Gamma >= 0) || math.IsInf(p.Gamma, 1) {
+		return fmt.Errorf("kernel: plan file profile field gamma = %v, want ≥ 0 and finite", p.Gamma)
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"latIntraNS", p.LatIntraNS}, {"latInterNS", p.LatInterNS}, {"latCrossRackNS", p.LatCrossNS},
+		{"interpCostNS", p.InterpNS}, {"kernelLoadNS", p.KernelLoadNS}} {
+		if f.v < 0 {
+			return fmt.Errorf("kernel: plan file profile field %s = %d, want ≥ 0", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 type fileTopo struct {
@@ -174,6 +203,9 @@ func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 		return nil, nil, fmt.Errorf("kernel: unsupported plan file version %d (want %d)", pf.Version, FileVersion)
 	}
 	p := pf.Topology.Profile
+	if err := p.check(); err != nil {
+		return nil, nil, err
+	}
 	prof := topo.Profile{
 		Name:         p.Name,
 		NVLinkBW:     p.NVLinkBW,
@@ -187,13 +219,19 @@ func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 		InterpCost:   time.Duration(p.InterpNS),
 		KernelLoad:   time.Duration(p.KernelLoadNS),
 	}
-	if pf.Topology.NNodes < 1 || pf.Topology.GPUsPerNode < 1 ||
-		pf.Topology.NICsPerNode < 1 || pf.Topology.ServersPerRack < 1 {
+	ft := pf.Topology
+	if ft.NNodes < 1 || ft.GPUsPerNode < 1 || ft.NICsPerNode < 1 ||
+		ft.NICsPerNode > ft.GPUsPerNode || ft.ServersPerRack < 1 {
 		return nil, nil, fmt.Errorf("kernel: plan file has invalid topology dimensions")
 	}
-	tp := topo.New(pf.Topology.NNodes, pf.Topology.GPUsPerNode, prof,
-		topo.WithNICs(pf.Topology.NICsPerNode),
-		topo.WithServersPerRack(pf.Topology.ServersPerRack))
+	// Checked before the topology is built, so a corrupt file cannot
+	// make Load allocate a fabric far larger than its algorithm.
+	if n := pf.Algorithm.NRanks; n%ft.NNodes != 0 || n/ft.NNodes != ft.GPUsPerNode {
+		return nil, nil, fmt.Errorf("kernel: plan file topology has %d×%d GPUs, algorithm has %d ranks",
+			ft.NNodes, ft.GPUsPerNode, pf.Algorithm.NRanks)
+	}
+	tp := topo.New(ft.NNodes, ft.GPUsPerNode, prof,
+		topo.WithNICs(ft.NICsPerNode), topo.WithServersPerRack(ft.ServersPerRack))
 
 	op, err := ir.ParseOpType(pf.Algorithm.Op)
 	if err != nil {

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -213,5 +214,55 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := Load(strings.NewReader(`{"version": 1, "topology": {"nNodes": 0}}`)); err == nil {
 		t.Error("invalid topology should fail")
+	}
+
+	// Edits of a saved 1×4 plan. The profile feeds every cost model
+	// directly, so zero or negative bandwidths — which would simulate to
+	// absurd completions and vet clean — are refused with the field
+	// named; the topology must fit its algorithm before it is built.
+	algo, err := expert.RingAllReduce(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(generate(t, algo, 1, 4), topo.New(1, 4, topo.A100()), &buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	if _, _, err := Load(bytes.NewReader(saved)); err != nil {
+		t.Fatalf("unedited plan: %v", err)
+	}
+	cases := []struct {
+		field string
+		v     float64
+		want  string
+	}{
+		{"nvlinkBW", 0, "nvlinkBW"}, {"nvlinkBW", -300e9, "nvlinkBW"}, {"nicBW", 0, "nicBW"},
+		{"tbCapIntra", 0, "tbCapIntra"}, {"tbCapIntra", -1, "tbCapIntra"}, {"tbCapInter", 0, "tbCapInter"},
+		{"gamma", -0.5, "gamma"},
+		{"latIntraNS", -1, "latIntraNS"}, {"latInterNS", -1, "latInterNS"}, {"latCrossRackNS", -1, "latCrossRackNS"},
+		{"interpCostNS", -1, "interpCostNS"}, {"kernelLoadNS", -1, "kernelLoadNS"},
+		{"nicsPerNode", 8, "invalid topology dimensions"},
+		{"nNodes", 3000, "topology has 3000×4 GPUs"},
+	}
+	for _, c := range cases {
+		var pf map[string]any
+		if err := json.Unmarshal(saved, &pf); err != nil {
+			t.Fatal(err)
+		}
+		tp := pf["topology"].(map[string]any)
+		if prof := tp["profile"].(map[string]any); prof[c.field] != nil {
+			prof[c.field] = c.v
+		} else {
+			tp[c.field] = c.v
+		}
+		data, err := json.Marshal(pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Load(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s = %v: Load error %v, want one containing %q", c.field, c.v, err, c.want)
+		}
 	}
 }

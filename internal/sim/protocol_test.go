@@ -23,31 +23,6 @@ func compileNCCL(t *testing.T, op ir.OpType, tp *topo.Topology, proto ir.Protoco
 	return plan
 }
 
-// Params must keep the tier ordering the cost model relies on: LL pays
-// the least startup and carries the least payload per wire byte, Simple
-// the reverse, and auto is exactly Simple.
-func TestProtocolParamsOrdering(t *testing.T) {
-	ll, ll128, simple := Params(ir.ProtoLL), Params(ir.ProtoLL128), Params(ir.ProtoSimple)
-	if !(ll.AlphaFactor < ll128.AlphaFactor && ll128.AlphaFactor < simple.AlphaFactor) {
-		t.Errorf("alpha factors not increasing: %v %v %v", ll.AlphaFactor, ll128.AlphaFactor, simple.AlphaFactor)
-	}
-	if !(ll.BWFactor < ll128.BWFactor && ll128.BWFactor < simple.BWFactor) {
-		t.Errorf("bandwidth factors not increasing: %v %v %v", ll.BWFactor, ll128.BWFactor, simple.BWFactor)
-	}
-	if simple.BWFactor != 1 || simple.AlphaFactor != 1 || simple.MaxChunkBytes != 0 {
-		t.Errorf("Simple must be the identity, got %+v", simple)
-	}
-	if Params(ir.ProtoAuto) != simple {
-		t.Errorf("auto params %+v differ from Simple %+v", Params(ir.ProtoAuto), simple)
-	}
-	if got := ll.EffectiveChunk(1 << 20); got != ll.MaxChunkBytes {
-		t.Errorf("LL effective chunk for 1MiB = %d, want cap %d", got, ll.MaxChunkBytes)
-	}
-	if got := simple.EffectiveChunk(0); got != 1<<20 {
-		t.Errorf("Simple effective chunk for 0 = %d, want 1MiB default", got)
-	}
-}
-
 // Completion must be non-decreasing in buffer size under every fixed
 // protocol tier: more bytes can never finish earlier.
 func TestProtocolCompletionMonotoneInBytes(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -74,11 +75,11 @@ func ProtocolSwitchPoints(tp *topo.Topology, op ir.OpType) (llMax, ll128Max int6
 // estimateCompletion is the closed-form completion estimate of the NCCL
 // channelized-ring plan for one tier: nMB micro-batches, each paying
 // `steps` serialized hops of (scaled startup α + interpreter cost +
-// chunk wire time) on the bottleneck link. It mirrors the simulator's
-// micro-batch geometry via PlanFor and Params; contention between
-// channels is tier-independent and drops out of the comparison.
+// chunk wire time) on the bottleneck link. It takes the simulator's
+// micro-batch geometry and per-instance cost from simcost; contention
+// between channels is tier-independent and drops out of the comparison.
 func estimateCompletion(tp *topo.Topology, op ir.OpType, bufferBytes int64, proto ir.Protocol) float64 {
-	params := Params(proto)
+	params := simcost.Params(proto)
 	nRanks := tp.NRanks()
 	nChunks := nRanks * selectionChannels
 	steps := nRanks - 1
@@ -103,8 +104,7 @@ func estimateCompletion(tp *topo.Topology, op ir.OpType, bufferBytes int64, prot
 			bw = tp.TBCapInter
 		}
 	}
-	plan := PlanFor(bufferBytes, params.EffectiveChunk(1<<20), nChunks)
-	perHop := alpha*params.AlphaFactor + 2*tp.InterpCost.Seconds() +
-		plan.ChunkBytes/(params.BWFactor*bw)
+	plan := simcost.PlanFor(bufferBytes, params.EffectiveChunk(1<<20), nChunks)
+	perHop := params.InstanceCost(alpha, bw, plan.ChunkBytes) + 2*tp.InterpCost.Seconds()
 	return float64(plan.NMicroBatches) * float64(steps) * perHop
 }

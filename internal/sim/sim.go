@@ -78,16 +78,6 @@ type MultiConfig struct {
 	FullResolve bool
 }
 
-// Plan describes the derived micro-batch geometry of a run; see
-// simcost.Plan.
-type Plan = simcost.Plan
-
-// PlanFor derives the micro-batch count and effective chunk size from a
-// buffer size; see simcost.PlanFor.
-func PlanFor(bufferBytes, chunkBytes int64, nChunks int) Plan {
-	return simcost.PlanFor(bufferBytes, chunkBytes, nChunks)
-}
-
 // InstanceSpan records one executed task invocation when the run is
 // configured with RecordTimeline: which task, which micro-batch, when it
 // ran (startup + data phase), which TBs drove it and which links it
@@ -138,7 +128,7 @@ type Result struct {
 	// metric of §5.2, in bytes/s.
 	AlgoBW float64
 	// Plan echoes the derived micro-batch geometry.
-	Plan Plan
+	Plan simcost.Plan
 	// TBs has one entry per thread block.
 	TBs []TBStats
 	// LinkBusy maps every communication link that carried traffic to
@@ -365,7 +355,7 @@ type taskState struct {
 // session holds one kernel's execution state within a concurrent run.
 type session struct {
 	k      *kernel.Kernel
-	plan   Plan
+	plan   simcost.Plan
 	buffer int64
 	interp float64
 	// wire inflates each chunk's payload bytes to wire bytes under the
@@ -494,10 +484,10 @@ func newSim(cfg MultiConfig) *sim {
 		// geometry (chunk cap), startup latency (α factor) and wire-byte
 		// inflation (bandwidth factor). ProtoAuto/ProtoSimple are the
 		// identity on all three.
-		params := Params(k.Protocol)
+		params := simcost.Params(k.Protocol)
 		se := &session{
 			k:       k,
-			plan:    PlanFor(sc.BufferBytes, params.EffectiveChunk(sc.ChunkBytes), k.Graph.Algo.NChunks),
+			plan:    simcost.PlanFor(sc.BufferBytes, params.EffectiveChunk(sc.ChunkBytes), k.Graph.Algo.NChunks),
 			buffer:  sc.BufferBytes,
 			wire:    1 / params.BWFactor,
 			taskOff: taskOff,

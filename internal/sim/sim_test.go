@@ -29,29 +29,6 @@ func run(t *testing.T, plan *backend.Plan, tp *topo.Topology, buf int64) *Result
 	return res
 }
 
-func TestPlanFor(t *testing.T) {
-	p := PlanFor(4<<30, 1<<20, 32)
-	if p.NMicroBatches != 128 {
-		t.Errorf("4GiB/32 chunks: n = %d, want 128", p.NMicroBatches)
-	}
-	if p.ChunkBytes != 1<<20 {
-		t.Errorf("chunk = %f, want 1MiB", p.ChunkBytes)
-	}
-	// Small buffers shrink the chunk, not drop below one micro-batch.
-	p = PlanFor(8<<20, 1<<20, 32)
-	if p.NMicroBatches != 1 {
-		t.Errorf("8MiB/32 chunks: n = %d, want 1", p.NMicroBatches)
-	}
-	if p.ChunkBytes != (8<<20)/32 {
-		t.Errorf("chunk = %f, want 256KiB", p.ChunkBytes)
-	}
-	// Degenerate inputs stay safe.
-	p = PlanFor(0, 0, 4)
-	if p.NMicroBatches < 1 || p.ChunkBytes <= 0 {
-		t.Errorf("degenerate plan: %+v", p)
-	}
-}
-
 // A single-node ring AllGather through the full ResCCL pipeline must
 // complete, touch every intra-node link, and finish in a physically
 // sensible time (not faster than the data could move over one port).

@@ -1,8 +1,10 @@
-// Package simcost is the closed-form core of the simulator's cost
-// model: the protocol-tier parameters (α scaling, wire-byte inflation,
-// chunk caps) and the micro-batch geometry derived from a buffer size.
-// It is a leaf package — internal/sim builds its event-driven engine on
-// top of it, and the static analyses (internal/analyze's budget lints,
+// Package simcost is the analytic cost core shared by every model in
+// the repo: the protocol-tier parameters (α scaling, wire-byte
+// inflation, chunk caps), the micro-batch geometry derived from a
+// buffer size, and the α–β price of one task instance. It is a leaf
+// package over internal/ir — internal/sim builds its event-driven
+// engine on top of it, and the static models (talloc's §4.4 replay,
+// core's Eq. 3–5 estimates, internal/analyze's budget lints and
 // internal/analyze/cert's lower bounds) price plans with the very same
 // constants without linking the simulator, which keeps packages like
 // internal/backend free of a sim dependency.
@@ -58,6 +60,24 @@ func (p ProtocolParams) EffectiveChunk(chunkBytes int64) int64 {
 		chunkBytes = p.MaxChunkBytes
 	}
 	return chunkBytes
+}
+
+// WireBytes inflates a payload to the bytes the tier puts on the wire.
+func (p ProtocolParams) WireBytes(payloadBytes float64) float64 {
+	return payloadBytes / p.BWFactor
+}
+
+// InstanceCost is the α–β cost in seconds of one task instance: the
+// tier-scaled startup α plus the chunk's wire bytes at the path's
+// per-TB capability tbCap (bytes/s). A non-positive tbCap prices the
+// startup alone. Under Simple both factors are 1, so the result is
+// bit-identical to α + chunk/tbCap.
+func (p ProtocolParams) InstanceCost(alpha, tbCap, chunkBytes float64) float64 {
+	v := alpha * p.AlphaFactor
+	if tbCap > 0 {
+		v += p.WireBytes(chunkBytes) / tbCap
+	}
+	return v
 }
 
 // Plan describes the derived micro-batch geometry of a run.

@@ -12,6 +12,7 @@ import (
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -62,7 +63,7 @@ type Interval struct {
 // model (HPDS already separated link sharers into distinct
 // sub-pipelines, so per-task bandwidth is the TB capability):
 //
-//	perInst(t)  = α(path) + chunk/TBCap(path)
+//	perInst(t)  = InstanceCost(α(path), TBCap(path), chunk)
 //	start(t)    = max(dep starts + their per-instance time,   // pipelining
 //	                  link predecessors' total completion)    // link serialization
 //	finish(t)   = max(start(t) + n·perInst(t),
@@ -79,26 +80,37 @@ type Windows struct {
 
 // EstimateWindows produces the timeline analysis of §4.4 for a scheduled
 // pipeline, given the chunk size and micro-batch count the plan will run
-// with.
+// with. It prices instances under the Simple tier.
 func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
-	g := p.Graph
+	return Replay(p.Graph, p.OrderedTasks(), simcost.Params(ir.ProtoSimple), float64(chunkBytes), nMB)
+}
+
+// Replay runs the Windows recurrence over the tasks of g in the given
+// global order, pricing each instance with params. It is the one §4.4
+// replay: TB allocation runs it over a fresh schedule, and the static
+// analyzer over the order a compiled kernel echoes. A task starts only
+// once its links' sliding saturation windows (g.LinkWindows) have a
+// free slot, mirroring the kernel's link predecessors. Dependencies
+// outside g's task table are ignored, since a loaded plan file may be
+// corrupt.
+func Replay(g *dag.Graph, order []ir.TaskID, params simcost.ProtocolParams, chunkBytes float64, nMB int) *Windows {
 	n := float64(nMB)
 	w := &Windows{
 		PerTask: make([]Interval, len(g.Tasks)),
 		PerInst: make([]float64, len(g.Tasks)),
 	}
-	// Task history per link, in global position order: a task starts
-	// only once the link's sliding saturation window (g.LinkWindows)
-	// has a free slot, mirroring the kernel's link predecessors.
+	// Task history per link, in global position order.
 	linkHist := make(map[topo.LinkID][]ir.TaskID)
-	order := p.OrderedTasks()
 	for _, t := range order {
 		path := g.Paths[t]
-		per := path.Alpha.Seconds() + float64(chunkBytes)/path.TBCap
+		per := params.InstanceCost(path.Alpha.Seconds(), path.TBCap, chunkBytes)
 		w.PerInst[t] = per
 		start := 0.0
 		finish := 0.0
 		for _, d := range g.Deps[t] {
+			if int(d) < 0 || int(d) >= len(g.Tasks) {
+				continue
+			}
 			if s := w.PerTask[d].Start + w.PerInst[d]; s > start {
 				start = s
 			}
