@@ -72,7 +72,7 @@ func main() {
 		protocol    = flag.String("protocol", "auto", "force a transport protocol tier on every compilation: auto, ll, ll128 or simple")
 		benchJSON   = flag.String("bench-json", "", "write a machine-readable perf record (wall clock, sim events/sec, cache hit rate) to this path")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of every simulated cell to this path (forces a serial run for deterministic output)")
-		metricsJSON = flag.String("metrics-json", "", "write the counters/gauges registry as JSON to this path")
+		metricsJSON = flag.String("metrics-json", "", "write the counters/gauges registry as JSON to this path (forces a serial run for deterministic gauges)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile taken at exit to this path")
 
@@ -109,16 +109,22 @@ func main() {
 		return
 	}
 
-	// One plan cache and one counter set span all experiments, so
-	// repeated compilations across figures are shared and the perf
-	// record reflects the whole run.
+	// One plan cache and one metrics registry span all experiments, so
+	// repeated compilations across figures are shared and both the perf
+	// record and the -metrics-json registry reflect the whole run.
 	cache := backend.NewCache()
-	stats := bench.NewStats()
+	m := obs.NewMetrics()
 	var tr *obs.Trace
 	if *traceOut != "" {
 		tr = obs.NewTrace()
 		// Timelines append in cell completion order; only a serial run
 		// keeps that order (and the trace bytes) deterministic.
+		*parallel = false
+	}
+	if *metricsJSON != "" {
+		// The link busy-time gauges are float sums, which depend on the
+		// order cells finish in; only a serial run keeps them
+		// deterministic.
 		*parallel = false
 	}
 	proto, err := ir.ParseProtocol(*protocol)
@@ -133,7 +139,7 @@ func main() {
 		Parallel: *parallel,
 		Workers:  *workers,
 		Cache:    cache,
-		Stats:    stats,
+		Metrics:  m,
 		Trace:    tr,
 		Protocol: proto,
 		Ctx:      ctx,
@@ -161,7 +167,7 @@ func main() {
 	for _, e := range exps {
 		start := time.Now()
 		preStats := cache.Stats()
-		preEvents := stats.SimEvents()
+		preEvents := m.Counter("sim.events")
 		tables, err := e.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
@@ -195,7 +201,7 @@ func main() {
 			WallMS:      float64(elapsed.Microseconds()) / 1e3,
 			Tables:      len(tables),
 			Rows:        rows,
-			SimEvents:   stats.SimEvents() - preEvents,
+			SimEvents:   m.Counter("sim.events") - preEvents,
 			CacheHits:   hits,
 			CacheMisses: misses,
 		})
@@ -216,8 +222,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
 	}
 	if *metricsJSON != "" {
-		m := obs.NewMetrics()
-		bench.PublishMetrics(m, cache, stats)
+		cs := cache.Stats()
+		m.Add("plan_cache.hits", cs.Hits)
+		m.Add("plan_cache.misses", cs.Misses)
 		f, err := os.Create(*metricsJSON)
 		if err == nil {
 			err = m.WriteJSON(f)
@@ -237,12 +244,12 @@ func main() {
 	total := time.Since(suiteStart)
 	st := cache.Stats()
 	rec.TotalWallMS = float64(total.Microseconds()) / 1e3
-	rec.SimEvents = stats.SimEvents()
-	rec.SimRuns = stats.SimRuns()
-	rec.RTInstances = stats.RTInstances()
-	rec.Replans = stats.Replans()
+	rec.SimEvents = m.Counter("sim.events")
+	rec.SimRuns = m.Counter("sim.runs")
+	rec.RTInstances = m.Counter("rt.instances")
+	rec.Replans = m.Counter("rt.replans")
 	if s := total.Seconds(); s > 0 {
-		rec.EventsPerSec = float64(stats.SimEvents()) / s
+		rec.EventsPerSec = float64(rec.SimEvents) / s
 	}
 	rec.CacheHits = st.Hits
 	rec.CacheMisses = st.Misses

@@ -115,9 +115,11 @@ type Options struct {
 	// repeated compilations; the ressclbench CLI shares one cache across
 	// all experiments.
 	Cache *backend.Cache
-	// Stats, when non-nil, accumulates simulator throughput counters for
-	// machine-readable perf records (-bench-json).
-	Stats *Stats
+	// Metrics, when non-nil, accumulates the run's counters — sim.runs,
+	// sim.events, sim.instances, rt.instances, rt.replans — and link
+	// busy-time gauges, the source of the -bench-json perf record and
+	// the -metrics-json registry.
+	Metrics *obs.Metrics
 	// Trace, when non-nil, records the simulated timeline of every cell
 	// (-trace-out). Combine with a serial run: timelines append in cell
 	// completion order, which only a serial run makes deterministic.

@@ -1,28 +1,43 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/obs"
 )
 
 // Every experiment must run to completion in Quick mode and produce
 // non-empty tables. The heavy ones are skipped under -short.
+//
+// The suite runs the way `ressclbench -exp all -quick` does: serially,
+// in registry order, sharing one plan cache and one metrics registry.
+// When every experiment ran, the deterministic counters must then equal
+// the committed BENCH_baseline.json exactly; a drift means the
+// experiments changed and the baseline must be regenerated deliberately
+// (docs/performance.md).
 func TestAllExperimentsQuick(t *testing.T) {
 	heavy := map[string]bool{
 		"table1": true, "fig3": true, "fig6": true, "fig7": true,
 		"fig8": true, "fig9": true, "fig11": true, "fig13": true,
 	}
+	opts := Options{Quick: true, Cache: backend.NewCache(), Metrics: obs.NewMetrics()}
+	ran := 0
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			if testing.Short() && heavy[e.ID] {
 				t.Skip("heavy experiment skipped in -short mode")
 			}
-			tables, err := e.Run(Options{Quick: true})
+			tables, err := e.Run(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ran++
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -42,6 +57,33 @@ func TestAllExperimentsQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+	if testing.Short() || ran != len(Registry()) {
+		return
+	}
+	data, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base PerfRecord
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	cs := opts.Cache.Stats()
+	for _, c := range []struct {
+		key       string
+		got, want int64
+	}{
+		{"sim_events", opts.Metrics.Counter("sim.events"), base.SimEvents},
+		{"sim_runs", opts.Metrics.Counter("sim.runs"), base.SimRuns},
+		{"rt_instances", opts.Metrics.Counter("rt.instances"), base.RTInstances},
+		{"cache_hits", cs.Hits, base.CacheHits},
+		{"cache_misses", cs.Misses, base.CacheMisses},
+	} {
+		if c.got != c.want {
+			t.Errorf("determinism drift: %s = %d, BENCH_baseline.json has %d "+
+				"(regenerate the baseline if the experiments changed)", c.key, c.got, c.want)
+		}
 	}
 }
 

@@ -219,7 +219,8 @@ func replanTable(opts Options) (*Table, error) {
 		if err != nil {
 			return fmt.Errorf("dead=%d: %w", n, err)
 		}
-		opts.Stats.AddRTRun(res.Instances, len(res.ReplanEvents))
+		opts.Metrics.Add("rt.instances", int64(res.Instances))
+		opts.Metrics.Add("rt.replans", int64(len(res.ReplanEvents)))
 		verified := "yes"
 		if err := res.Verify(); err != nil {
 			verified = "NO: " + err.Error()

@@ -1,10 +1,5 @@
 package bench
 
-import (
-	"github.com/resccl/resccl/internal/backend"
-	"github.com/resccl/resccl/internal/obs"
-)
-
 // PerfExperiment is one experiment's slice of a perf record.
 type PerfExperiment struct {
 	ID          string  `json:"id"`
@@ -53,25 +48,4 @@ type PerfRecord struct {
 	// in its own BENCH_serve.json record — service timings are load- and
 	// host-dependent, so they never enter the deterministic baseline.
 	ServeLoad *ServeLoadRecord `json:"serve_load,omitempty"`
-}
-
-// PublishMetrics mirrors the harness counters into an obs metrics
-// registry under the library's standard names, so -metrics-json output
-// and -bench-json perf records agree field for field. Nil-safe on every
-// argument.
-func PublishMetrics(m *obs.Metrics, cache *backend.Cache, stats *Stats) {
-	if m == nil {
-		return
-	}
-	if cache != nil {
-		cs := cache.Stats()
-		m.Add("plan_cache.hits", cs.Hits)
-		m.Add("plan_cache.misses", cs.Misses)
-	}
-	if stats != nil {
-		m.Add("sim.events", stats.SimEvents())
-		m.Add("sim.runs", stats.SimRuns())
-		m.Add("rt.instances", stats.RTInstances())
-		m.Add("rt.replans", stats.Replans())
-	}
 }

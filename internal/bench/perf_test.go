@@ -6,73 +6,63 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/topo"
 )
 
-// TestPublishMetricsMatchesBenchJSON exercises the contract that the
-// -metrics-json registry and the -bench-json perf record report the same
-// numbers: every counter PublishMetrics emits must equal the harness
-// field the perf record is filled from.
-func TestPublishMetricsMatchesBenchJSON(t *testing.T) {
-	cache := backend.NewCache()
-	stats := NewStats()
-	b := backend.NewResCCL()
+// TestMetricsCountHarnessRuns checks that Options.Metrics — the
+// registry -bench-json and -metrics-json are both filled from — counts
+// every simulation the harness runs, single and concurrent, and that a
+// nil registry counts nothing without failing.
+func TestMetricsCountHarnessRuns(t *testing.T) {
+	m := obs.NewMetrics()
+	opts := Options{Cache: backend.NewCache(), Metrics: m}.init()
 	tp := topo.New(1, 4, topo.A100())
 	algo, err := expert.MeshAllReduce(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Cache: cache, Stats: stats}.init()
-
-	req := backend.Request{Algo: algo, Topo: tp}
-	plan, err := compile(opts, b, req)
+	plan, err := compile(opts, backend.NewResCCL(), backend.Request{Algo: algo, Topo: tp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := compile(opts, b, req); err != nil { // cache hit
+	res, err := runPlan(opts, tp, plan, 8<<20, defaultChunk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runPlan(opts, tp, plan, 8<<20, defaultChunk); err != nil {
+	ses := sim.Session{Kernel: plan.Kernel, BufferBytes: 8 << 20, ChunkBytes: defaultChunk}
+	mr, err := runConcurrent(opts, sim.MultiConfig{Topo: tp, Sessions: []sim.Session{ses, ses}})
+	if err != nil {
 		t.Fatal(err)
-	}
-	stats.AddRTRun(7, 2)
-
-	m := obs.NewMetrics()
-	PublishMetrics(m, cache, stats)
-
-	cs := cache.Stats()
-	if cs.Hits != 1 || cs.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", cs)
 	}
 	want := map[string]int64{
-		"plan_cache.hits":   cs.Hits,
-		"plan_cache.misses": cs.Misses,
-		"sim.events":        stats.SimEvents(),
-		"sim.runs":          stats.SimRuns(),
-		"rt.instances":      stats.RTInstances(),
-		"rt.replans":        stats.Replans(),
+		"sim.runs":      2,
+		"sim.events":    int64(res.Events + mr.Events),
+		"sim.instances": int64(res.Instances + mr.Sessions[0].Instances + mr.Sessions[1].Instances),
 	}
 	for name, v := range want {
 		if got := m.Counter(name); got != v {
 			t.Errorf("%s = %d, want %d", name, got, v)
 		}
 	}
-	if stats.SimEvents() == 0 || stats.SimRuns() != 1 {
-		t.Errorf("harness stats not populated: events=%d runs=%d", stats.SimEvents(), stats.SimRuns())
+	if len(m.Snapshot().Gauges) == 0 {
+		t.Error("no link busy-time gauges recorded")
 	}
-	if stats.RTInstances() != 7 || stats.Replans() != 2 {
-		t.Errorf("rt stats = %d/%d, want 7/2", stats.RTInstances(), stats.Replans())
+
+	opts.Metrics = nil
+	if _, err := runPlan(opts, tp, plan, 8<<20, defaultChunk); err != nil {
+		t.Fatal(err)
 	}
-	// Nil-safety: none of these may panic.
-	PublishMetrics(nil, cache, stats)
-	PublishMetrics(m, nil, nil)
+	if got := m.Counter("sim.runs"); got != 2 {
+		t.Errorf("a run without a registry was counted: sim.runs = %d", got)
+	}
 }
 
 // TestBenchTraceCollectsTimelines checks that Options.Trace threads
 // through the runner: a traced run records one timeline per simulation.
 func TestBenchTraceCollectsTimelines(t *testing.T) {
 	tr := obs.NewTrace()
-	opts := Options{Cache: backend.NewCache(), Stats: NewStats(), Trace: tr}.init()
+	opts := Options{Cache: backend.NewCache(), Metrics: obs.NewMetrics(), Trace: tr}.init()
 	b := backend.NewResCCL()
 	tp := topo.New(1, 4, topo.A100())
 	algo, err := expert.MeshAllReduce(4)

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/trace"
+	"github.com/resccl/resccl/internal/tune"
 )
 
 // The harness decomposes every experiment into independent *cells* —
@@ -21,149 +19,42 @@ import (
 // Figure 10a phase timings and the faulted replan table's recovery
 // columns — which are non-deterministic even serially.
 
-// runCells executes cells 0..n-1 through the worker pool when
-// opts.Parallel is set, serially otherwise. The returned error is the
-// lowest-indexed cell's error in both modes, so failure output is
-// deterministic as well.
+// runCells executes cells 0..n-1 through tune.RunCells' worker pool
+// when opts.Parallel is set, serially otherwise.
 func runCells(opts Options, n int, cell func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if !opts.Parallel || workers < 2 {
-		for i := 0; i < n; i++ {
-			if err := cell(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = cell(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return tune.RunCells(opts.Parallel, opts.Workers, n, cell)
 }
 
-// Stats accumulates runtime performance counters across an experiment
-// run. All methods are safe for concurrent use and tolerate a nil
-// receiver (counting disabled).
-type Stats struct {
-	simEvents   atomic.Int64
-	simRuns     atomic.Int64
-	rtInstances atomic.Int64
-	replans     atomic.Int64
-}
-
-// NewStats returns a fresh counter set.
-func NewStats() *Stats { return &Stats{} }
-
-// AddSimEvents records a completed simulation's processed event count.
-func (s *Stats) AddSimEvents(n int) {
-	if s == nil {
-		return
-	}
-	s.simEvents.Add(int64(n))
-	s.simRuns.Add(1)
-}
-
-// SimEvents returns the total discrete events processed so far.
-func (s *Stats) SimEvents() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.simEvents.Load()
-}
-
-// SimRuns returns the number of simulator invocations recorded.
-func (s *Stats) SimRuns() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.simRuns.Load()
-}
-
-// AddRTRun records one data-plane runtime execution: its completed
-// primitive-instance count and how many plan-level replans it took.
-func (s *Stats) AddRTRun(instances, replans int) {
-	if s == nil {
-		return
-	}
-	s.rtInstances.Add(int64(instances))
-	s.replans.Add(int64(replans))
-}
-
-// RTInstances returns the total primitive instances the runtime
-// executed across recorded runs.
-func (s *Stats) RTInstances() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.rtInstances.Load()
-}
-
-// Replans returns the total plan-level recoveries recorded.
-func (s *Stats) Replans() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.replans.Load()
-}
-
-// runSim is the harness's counted sim.Run wrapper. With a trace sink
-// configured it additionally records the run's timeline.
+// runSim is the harness's observed sim.Run: the one-session case of
+// runConcurrent, its timeline named after the kernel.
 func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
-	if opts.Trace != nil {
-		cfg.RecordTimeline = true
+	mr, err := simulate(opts, sim.MultiConfig{
+		Topo:       cfg.Topo,
+		Sessions:   []sim.Session{{Kernel: cfg.Kernel, BufferBytes: cfg.BufferBytes, ChunkBytes: cfg.ChunkBytes}},
+		Congestion: cfg.Congestion,
+		Faults:     cfg.Faults,
+	}, []string{cfg.Kernel.Name})
+	if err != nil {
+		return nil, err
 	}
-	res, err := sim.Run(cfg)
-	if err == nil {
-		opts.Stats.AddSimEvents(res.Events)
-		if opts.Trace != nil {
-			opts.Trace.AddTimeline(trace.BuildTimeline(cfg.Kernel.Name, cfg.Kernel, cfg.Topo, res))
-		}
-	}
-	return res, err
+	return mr.Sessions[0], nil
 }
 
-// runConcurrent is the counted sim.RunConcurrent wrapper.
+// runConcurrent is the harness's observed sim.RunConcurrent; session i's
+// timeline is named "session<i>/<kernel>".
 func runConcurrent(opts Options, cfg sim.MultiConfig) (*sim.MultiResult, error) {
-	if opts.Trace != nil {
-		cfg.RecordTimeline = true
+	names := make([]string, len(cfg.Sessions))
+	for i, se := range cfg.Sessions {
+		names[i] = fmt.Sprintf("session%d/%s", i, se.Kernel.Name)
 	}
-	mr, err := sim.RunConcurrent(cfg)
-	if err == nil {
-		opts.Stats.AddSimEvents(mr.Events)
-		if opts.Trace != nil {
-			for i, res := range mr.Sessions {
-				name := fmt.Sprintf("session%d/%s", i, cfg.Sessions[i].Kernel.Name)
-				opts.Trace.AddTimeline(trace.BuildTimeline(name, cfg.Sessions[i].Kernel, cfg.Topo, res))
-			}
-		}
-	}
+	return simulate(opts, cfg, names)
+}
+
+// simulate runs cfg through trace.Simulate, counting it into
+// opts.Metrics and, with a trace sink configured, recording its
+// timelines.
+func simulate(opts Options, cfg sim.MultiConfig, names []string) (*sim.MultiResult, error) {
+	cfg.RecordTimeline = opts.Trace != nil
+	mr, _, err := trace.Simulate(cfg, names, opts.Metrics, opts.Trace, nil)
 	return mr, err
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/tune"
 )
 
 // renderCSV renders an experiment's tables the way the CLI does, with
@@ -73,14 +74,14 @@ func TestSerialParallelDeterminism(t *testing.T) {
 	}
 }
 
-// runCells must execute every index exactly once in both modes and
-// return the lowest-indexed error regardless of completion order.
+// tune.RunCells, the harness's worker pool, must execute every index
+// exactly once in both modes and return the lowest-indexed error
+// regardless of completion order.
 func TestRunCells(t *testing.T) {
 	for _, par := range []bool{false, true} {
-		opts := Options{Parallel: par, Workers: 4}
 		var ran atomic.Int64
 		hit := make([]atomic.Bool, 100)
-		if err := runCells(opts, len(hit), func(i int) error {
+		if err := tune.RunCells(par, 4, len(hit), func(i int) error {
 			if hit[i].Swap(true) {
 				t.Errorf("cell %d ran twice", i)
 			}
@@ -94,7 +95,7 @@ func TestRunCells(t *testing.T) {
 		}
 
 		errLow, errHigh := errors.New("low"), errors.New("high")
-		err := runCells(opts, 50, func(i int) error {
+		err := tune.RunCells(par, 4, 50, func(i int) error {
 			switch i {
 			case 7:
 				return errLow
@@ -110,7 +111,7 @@ func TestRunCells(t *testing.T) {
 		}
 	}
 
-	if err := runCells(Options{}, 0, func(int) error { return errors.New("never") }); err != nil {
+	if err := tune.RunCells(false, 0, 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Errorf("zero cells must be a no-op, got %v", err)
 	}
 }
@@ -136,20 +137,5 @@ func TestSharedCacheAcrossRuns(t *testing.T) {
 	}
 	if second.Hits <= first.Hits {
 		t.Error("second run should be served from the cache")
-	}
-}
-
-// Stats methods must tolerate a nil receiver so counting is optional.
-func TestStatsNilReceiver(t *testing.T) {
-	var s *Stats
-	s.AddSimEvents(5)
-	if s.SimEvents() != 0 || s.SimRuns() != 0 {
-		t.Error("nil stats must read as zero")
-	}
-	st := NewStats()
-	st.AddSimEvents(3)
-	st.AddSimEvents(4)
-	if st.SimEvents() != 7 || st.SimRuns() != 2 {
-		t.Errorf("stats = %d events / %d runs, want 7 / 2", st.SimEvents(), st.SimRuns())
 	}
 }

@@ -70,14 +70,39 @@ func BuildTimeline(name string, k *kernel.Kernel, tp *topo.Topology, res *sim.Re
 	return tl
 }
 
-// LinkBusyGauges publishes the result's per-link busy time into the
-// metrics registry as "link.busy_seconds.<desc>" gauges, accumulating
-// across runs. Nil-safe on both arguments.
-func LinkBusyGauges(m *obs.Metrics, tp *topo.Topology, busy map[topo.LinkID]float64) {
-	if m == nil || tp == nil {
-		return
+// Simulate runs sim.RunConcurrent and records what it observed — the
+// one place a simulation's counters, link gauges and timelines enter the
+// obs sinks. Into m it adds sim.runs (+1), sim.events, every session's
+// sim.instances and a "link.busy_seconds.<link>" gauge per busy link,
+// all accumulating across runs. When cfg.RecordTimeline is set it builds
+// one timeline per session, named names[i], adds each to tr and returns
+// them aligned with cfg.Sessions. A non-nil span is ended as soon as the
+// simulator returns, so it times the simulation and not the recording.
+// The sinks and the span are nil-safe; with all three nil Simulate adds
+// nothing over sim.RunConcurrent.
+func Simulate(cfg sim.MultiConfig, names []string, m *obs.Metrics, tr *obs.Trace, span *obs.ActiveSpan) (*sim.MultiResult, []*obs.Timeline, error) {
+	mr, err := sim.RunConcurrent(cfg)
+	span.End()
+	if err != nil {
+		return nil, nil, err
 	}
-	for l, sec := range busy {
-		m.AddGauge("link.busy_seconds."+tp.DescribeResource(l), sec)
+	if m != nil {
+		m.Add("sim.runs", 1)
+		m.Add("sim.events", int64(mr.Events))
+		for _, res := range mr.Sessions {
+			m.Add("sim.instances", int64(res.Instances))
+		}
+		for l, sec := range mr.LinkBusy {
+			m.AddGauge("link.busy_seconds."+cfg.Topo.DescribeResource(l), sec)
+		}
 	}
+	if !cfg.RecordTimeline {
+		return mr, nil, nil
+	}
+	tls := make([]*obs.Timeline, len(mr.Sessions))
+	for i, res := range mr.Sessions {
+		tls[i] = BuildTimeline(names[i], cfg.Sessions[i].Kernel, cfg.Topo, res)
+		tr.AddTimeline(tls[i])
+	}
+	return mr, tls, nil
 }

@@ -127,20 +127,88 @@ func TestChromeDeterministic(t *testing.T) {
 	}
 }
 
+// meshSession is meshRun's kernel and payload as a concurrent-run
+// session.
+func meshSession(t *testing.T) (sim.Session, *topo.Topology, *sim.Result) {
+	t.Helper()
+	_, c, tp, res := meshRun(t)
+	return sim.Session{Kernel: c.Kernel, BufferBytes: 8 << 20, ChunkBytes: 1 << 20}, tp, res
+}
+
 func TestLinkBusyGauges(t *testing.T) {
-	_, _, tp, res := meshRun(t)
+	se, tp, res := meshSession(t)
 	m := obs.NewMetrics()
-	LinkBusyGauges(m, tp, res.LinkBusy)
+	if _, _, err := Simulate(sim.MultiConfig{Topo: tp, Sessions: []sim.Session{se}}, nil, m, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	snap := m.Snapshot()
 	if len(snap.Gauges) != len(res.LinkBusy) {
 		t.Errorf("gauges = %d, want one per busy link (%d)", len(snap.Gauges), len(res.LinkBusy))
 	}
-	for name := range snap.Gauges {
-		if len(name) < len("link.busy_seconds.") || name[:len("link.busy_seconds.")] != "link.busy_seconds." {
-			t.Errorf("gauge %q lacks link.busy_seconds. prefix", name)
+	for l, sec := range res.LinkBusy {
+		name := "link.busy_seconds." + tp.DescribeResource(l)
+		if got, ok := m.Gauge(name); !ok || got != sec {
+			t.Errorf("gauge %q = %v (present %v), want %v", name, got, ok, sec)
 		}
 	}
-	// Nil-safety.
-	LinkBusyGauges(nil, tp, res.LinkBusy)
-	LinkBusyGauges(m, nil, res.LinkBusy)
+}
+
+// TestSimulate pins the recording contract of the one observed
+// simulation: counters and timelines per session, accumulation across
+// runs, and nothing recorded or changed when the sinks are nil.
+func TestSimulate(t *testing.T) {
+	se, tp, _ := meshSession(t)
+	cfg := sim.MultiConfig{Topo: tp, Sessions: []sim.Session{se, se}, RecordTimeline: true}
+	want, err := sim.RunConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, tr := obs.NewMetrics(), obs.NewTrace()
+	mr, tls, err := Simulate(cfg, []string{"a", "b"}, m, tr, tr.StartSpan("execute", "sim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.Completion != want.Completion || mr.Events != want.Events {
+		t.Errorf("Simulate = %v s / %d events, sim.RunConcurrent = %v s / %d events",
+			mr.Completion, mr.Events, want.Completion, want.Events)
+	}
+	instances := int64(mr.Sessions[0].Instances + mr.Sessions[1].Instances)
+	for name, v := range map[string]int64{"sim.runs": 1, "sim.events": int64(mr.Events), "sim.instances": instances} {
+		if got := m.Counter(name); got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
+	}
+	if len(tls) != 2 || tls[0].Name != "a" || tls[1].Name != "b" {
+		t.Fatalf("timelines = %v, want one per session named a, b", tls)
+	}
+	if got := tr.Timelines(); len(got) != 2 || got[0] != tls[0] || got[1] != tls[1] {
+		t.Errorf("trace holds %d timelines, want the two returned", len(got))
+	}
+	if sp := tr.Spans(); len(sp) != 1 || sp[0].Name != "sim" {
+		t.Errorf("spans = %v, want the one execute span, ended", sp)
+	}
+
+	if _, _, err := Simulate(cfg, []string{"a", "b"}, m, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Counter("sim.runs"); got != 2 {
+		t.Errorf("sim.runs = %d after two runs, want 2", got)
+	}
+	if got := m.Counter("sim.instances"); got != 2*instances {
+		t.Errorf("sim.instances = %d after two runs, want %d", got, 2*instances)
+	}
+
+	// Nil sinks: still the plain simulation, timelines only on request.
+	cfg.RecordTimeline = false
+	mr, tls, err = Simulate(cfg, nil, nil, nil, nil)
+	if err != nil || tls != nil || mr.Completion != want.Completion {
+		t.Errorf("nil sinks: completion %v, timelines %v, err %v", mr.Completion, tls, err)
+	}
+	if _, _, err := Simulate(sim.MultiConfig{Topo: tp}, nil, m, tr, nil); err == nil {
+		t.Error("a run without sessions must fail")
+	}
+	if got := m.Counter("sim.runs"); got != 2 {
+		t.Errorf("a failed run counted: sim.runs = %d, want 2", got)
+	}
 }

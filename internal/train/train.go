@@ -98,7 +98,9 @@ type Config struct {
 	// rerun, the one whose time enters the iteration.
 	Trace *obs.Trace
 	// Metrics, when non-nil, accumulates simulator counters and
-	// per-link busy-time gauges (ressclsim -metrics-json).
+	// per-link busy-time gauges of every simulation the iteration runs,
+	// the clean probe of a FaultRate collective included (ressclsim
+	// -metrics-json).
 	Metrics *obs.Metrics
 }
 
@@ -166,67 +168,75 @@ type Result struct {
 	Throughput float64
 }
 
-// sink bundles the observability destinations of one collective, with a
-// label prefix naming its role in the iteration ("tp", "dp"). The zero
-// value records nothing (obs methods are nil-safe).
-type sink struct {
-	tr    *obs.Trace
-	m     *obs.Metrics
-	label string
+// compile builds one process group's plan for an AllReduce on tp,
+// recording its compile stages under "compile/<label>/<algo>".
+func compile(b backend.Backend, tp *topo.Topology, algo *ir.Algorithm, label string, cfg Config) (*backend.Plan, error) {
+	plan, err := b.Compile(context.Background(), backend.Request{Algo: algo, Topo: tp, Protocol: cfg.Protocol})
+	if err != nil {
+		return nil, err
+	}
+	cfg.Trace.AddStages("compile", "compile/"+label+"/"+plan.Algo.Name, plan.Stages)
+	return plan, nil
+}
+
+// chunkFor scales the chunk up for very large gradients (as real
+// libraries do), capping the simulation at 64 micro-batches of an
+// nChunks-chunk algorithm: training buffers are deep in the
+// bandwidth-bound regime where chunk granularity no longer changes the
+// outcome.
+func chunkFor(bufBytes int64, nChunks int) int64 {
+	chunk := int64(1 << 20)
+	if c := bufBytes / int64(nChunks*64); c > chunk {
+		chunk = c
+	}
+	return chunk
 }
 
 // commTime simulates one AllReduce of bufBytes per rank on tp using the
-// backend, returning its completion time and per-GPU TB footprint. A
-// positive faultRate reruns the collective under a seeded schedule of
-// that many events landing within the clean completion window; a
-// non-nil spec reruns it under that explicit schedule instead. When o
-// carries a trace, the final (possibly faulted) run records its
-// timeline.
-func commTime(b backend.Backend, tp *topo.Topology, algo *ir.Algorithm, proto ir.Protocol, bufBytes int64, faultRate int, faultSeed int64, spec *fault.Schedule, o sink) (float64, int, error) {
-	plan, err := b.Compile(context.Background(), backend.Request{Algo: algo, Topo: tp, Protocol: proto})
+// backend — the one-group case of groupsTime.
+func commTime(b backend.Backend, tp *topo.Topology, algo *ir.Algorithm, bufBytes int64, spec *fault.Schedule, label string, cfg Config) (float64, int, error) {
+	plan, err := compile(b, tp, algo, label, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	o.tr.AddStages("compile", "compile/"+o.label+"/"+plan.Algo.Name, plan.Stages)
-	// Scale the chunk up for very large gradients (as real libraries
-	// do), capping the simulation at 64 micro-batches: training buffers
-	// are deep in the bandwidth-bound regime where chunk granularity no
-	// longer changes the outcome.
-	chunk := int64(1 << 20)
-	if c := bufBytes / int64(plan.Algo.NChunks*64); c > chunk {
-		chunk = c
+	return groupsTime(tp, []*backend.Plan{plan}, []string{label}, bufBytes, chunkFor(bufBytes, plan.Algo.NChunks), spec, cfg)
+}
+
+// groupsTime simulates the process groups' AllReduces of bufBytes per
+// rank running concurrently on tp, returning the last group's completion
+// and the largest per-GPU TB footprint. labels[i] names plans[i]'s role
+// in the iteration ("tp", "dp", "dp[i]") in its timeline. A non-nil spec
+// runs the collectives under that explicit schedule; otherwise a
+// positive cfg.FaultRate first runs a clean probe whose completion sets
+// the horizon of a seeded schedule of that many events. Every run is
+// counted into cfg.Metrics; only the final one records timelines.
+func groupsTime(tp *topo.Topology, plans []*backend.Plan, labels []string, bufBytes, chunk int64, spec *fault.Schedule, cfg Config) (float64, int, error) {
+	mc := sim.MultiConfig{Topo: tp, Faults: spec}
+	names := make([]string, len(plans))
+	tbs, nTBs := 0, 0
+	for i, plan := range plans {
+		mc.Sessions = append(mc.Sessions, sim.Session{Kernel: plan.Kernel, BufferBytes: bufBytes, ChunkBytes: chunk})
+		names[i] = labels[i] + "/" + plan.Backend + "/" + plan.Algo.Name
+		tbs = max(tbs, plan.Kernel.MaxTBsPerRank())
+		nTBs += len(plan.Kernel.TBs)
 	}
-	record := o.tr != nil
-	res, err := sim.Run(sim.Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: bufBytes,
-		ChunkBytes: chunk, RecordTimeline: record})
-	if err != nil {
-		return 0, 0, err
-	}
-	o.m.Add("sim.runs", 1)
-	o.m.Add("sim.events", int64(res.Events))
-	sched := spec
-	if sched == nil && faultRate > 0 {
-		sched = fault.Generate(tp, fault.Params{
-			Seed: faultSeed, N: faultRate,
-			Horizon: res.Completion, MeanDuration: res.Completion / 8,
-			NTBs: len(plan.Kernel.TBs),
-		})
-	}
-	if sched != nil {
-		res, err = sim.Run(sim.Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: bufBytes,
-			ChunkBytes: chunk, Faults: sched, RecordTimeline: record})
+	if spec == nil && cfg.FaultRate > 0 {
+		clean, _, err := trace.Simulate(mc, nil, cfg.Metrics, nil, nil)
 		if err != nil {
 			return 0, 0, err
 		}
-		o.m.Add("sim.runs", 1)
-		o.m.Add("sim.events", int64(res.Events))
+		mc.Faults = fault.Generate(tp, fault.Params{
+			Seed: cfg.FaultSeed, N: cfg.FaultRate,
+			Horizon: clean.Completion, MeanDuration: clean.Completion / 8,
+			NTBs: nTBs,
+		})
 	}
-	o.m.Add("sim.instances", int64(res.Instances))
-	trace.LinkBusyGauges(o.m, tp, res.LinkBusy)
-	if record {
-		o.tr.AddTimeline(trace.BuildTimeline(o.label+"/"+plan.Backend+"/"+plan.Algo.Name, plan.Kernel, tp, res))
+	mc.RecordTimeline = cfg.Trace != nil
+	mr, _, err := trace.Simulate(mc, names, cfg.Metrics, cfg.Trace, nil)
+	if err != nil {
+		return 0, 0, err
 	}
-	return res.Completion, plan.Kernel.MaxTBsPerRank(), nil
+	return mr.Completion, tbs, nil
 }
 
 // arAlgo picks the custom AllReduce algorithm for a group topology: the
@@ -275,8 +285,7 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 		}
 		// Explicit fault specs name full-cluster resources, so the TP
 		// sub-topology never sees them (see Config.Faults).
-		one, _, err := commTime(b, tpTopo, algo, cfg.Protocol, actBytes, cfg.FaultRate, cfg.FaultSeed, nil,
-			sink{tr: cfg.Trace, m: cfg.Metrics, label: "tp"})
+		one, _, err := commTime(b, tpTopo, algo, actBytes, nil, "tp", cfg)
 		if err != nil {
 			return nil, fmt.Errorf("train: TP comm: %w", err)
 		}
@@ -299,8 +308,7 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 			var algo *ir.Algorithm
 			algo, err = arAlgo(cfg.NNodes, cfg.GPN)
 			if err == nil {
-				dp, tbs, err = commTime(b, dpTopo, algo, cfg.Protocol, gradBytes, cfg.FaultRate, cfg.FaultSeed, cfg.Faults,
-					sink{tr: cfg.Trace, m: cfg.Metrics, label: "dp"})
+				dp, tbs, err = commTime(b, dpTopo, algo, gradBytes, cfg.Faults, "dp", cfg)
 			}
 		}
 		if err != nil {
@@ -338,15 +346,9 @@ func dpGroupsTime(b backend.Backend, cfg Config, gradBytes int64) (float64, int,
 	if err != nil {
 		return 0, 0, err
 	}
-	chunk := int64(1 << 20)
-	if c := gradBytes / int64(ring.NChunks*64); c > chunk {
-		chunk = c
-	}
-	record := cfg.Trace != nil
-	var sessions []sim.Session
-	var plans []*backend.Plan
-	tbs := 0
-	for l := 0; l < cfg.TP; l++ {
+	plans := make([]*backend.Plan, cfg.TP)
+	labels := make([]string, cfg.TP)
+	for l := range plans {
 		ranks := make([]ir.Rank, cfg.DP)
 		for node := 0; node < cfg.DP; node++ {
 			ranks[node] = ir.Rank(node*cfg.GPN + l)
@@ -355,53 +357,12 @@ func dpGroupsTime(b backend.Backend, cfg Config, gradBytes int64) (float64, int,
 		if err != nil {
 			return 0, 0, err
 		}
-		plan, err := b.Compile(context.Background(), backend.Request{Algo: grp, Topo: tp, Protocol: cfg.Protocol})
-		if err != nil {
+		labels[l] = fmt.Sprintf("dp[%d]", l)
+		if plans[l], err = compile(b, tp, grp, labels[l], cfg); err != nil {
 			return 0, 0, err
 		}
-		cfg.Trace.AddStages("compile", fmt.Sprintf("compile/dp[%d]/%s", l, plan.Algo.Name), plan.Stages)
-		if t := plan.Kernel.MaxTBsPerRank(); t > tbs {
-			tbs = t
-		}
-		plans = append(plans, plan)
-		sessions = append(sessions, sim.Session{Kernel: plan.Kernel, BufferBytes: gradBytes, ChunkBytes: chunk})
 	}
-	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: tp, Sessions: sessions, RecordTimeline: record})
-	if err != nil {
-		return 0, 0, err
-	}
-	cfg.Metrics.Add("sim.runs", 1)
-	cfg.Metrics.Add("sim.events", int64(mr.Events))
-	sched := cfg.Faults
-	if sched == nil && cfg.FaultRate > 0 {
-		nTBs := 0
-		for _, se := range sessions {
-			nTBs += len(se.Kernel.TBs)
-		}
-		sched = fault.Generate(tp, fault.Params{
-			Seed: cfg.FaultSeed, N: cfg.FaultRate,
-			Horizon: mr.Completion, MeanDuration: mr.Completion / 8,
-			NTBs: nTBs,
-		})
-	}
-	if sched != nil {
-		mr, err = sim.RunConcurrent(sim.MultiConfig{Topo: tp, Sessions: sessions, Faults: sched, RecordTimeline: record})
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg.Metrics.Add("sim.runs", 1)
-		cfg.Metrics.Add("sim.events", int64(mr.Events))
-	}
-	trace.LinkBusyGauges(cfg.Metrics, tp, mr.LinkBusy)
-	for l, res := range mr.Sessions {
-		cfg.Metrics.Add("sim.instances", int64(res.Instances))
-		if record {
-			cfg.Trace.AddTimeline(trace.BuildTimeline(
-				fmt.Sprintf("dp[%d]/%s/%s", l, plans[l].Backend, plans[l].Algo.Name),
-				plans[l].Kernel, tp, res))
-		}
-	}
-	return mr.Completion, tbs, nil
+	return groupsTime(tp, plans, labels, gradBytes, chunkFor(gradBytes, ring.NChunks), cfg.Faults, cfg)
 }
 
 // Compare runs the same configuration under several backends and

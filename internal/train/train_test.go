@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/fault"
+	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/topo"
 )
 
 func backends() []backend.Backend {
@@ -92,6 +95,34 @@ func TestSMContention(t *testing.T) {
 	for name, r := range res {
 		if r.SMPenalty < 0 {
 			t.Errorf("%s: negative SM penalty", name)
+		}
+	}
+}
+
+// The clean probe run only sets the horizon of a generated fault
+// schedule: an explicit schedule runs the collective once, a fault rate
+// probes first and then reruns it faulted.
+func TestFaultProbeRuns(t *testing.T) {
+	tp := topo.New(2, 8, topo.A100())
+	spec := &fault.Schedule{Events: []fault.Event{fault.NICFlap(tp, 0, 0, 1e-3)}}
+	for _, c := range []struct {
+		name string
+		rate int
+		spec *fault.Schedule
+		runs int64
+	}{
+		{"clean", 0, nil, 1},
+		{"spec", 0, spec, 1},
+		{"rate", 2, nil, 2},
+	} {
+		m := obs.NewMetrics()
+		cfg := Config{Model: T5_220M, GlobalBatch: 16, TP: 1, DP: 16, NNodes: 2, GPN: 8,
+			FaultRate: c.rate, Faults: c.spec, Metrics: m}
+		if _, err := Simulate(cfg, backend.NewResCCL()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := m.Counter("sim.runs"); got != c.runs {
+			t.Errorf("%s: sim.runs = %d, want %d", c.name, got, c.runs)
 		}
 	}
 }

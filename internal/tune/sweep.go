@@ -12,14 +12,12 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
+	"github.com/resccl/resccl/internal/trace"
 )
-
-// Stats receives simulator throughput counters from a sweep;
-// bench.Stats satisfies it.
-type Stats interface{ AddSimEvents(n int) }
 
 // Options configure a tuning sweep. The zero value sweeps AllReduce and
 // AllGather over the default size grid under every concrete protocol
@@ -51,8 +49,9 @@ type Options struct {
 	Cache *backend.Cache
 	// ChunkBytes is the simulated transfer chunk size (default 1 MiB).
 	ChunkBytes int64
-	// Stats, when non-nil, accumulates simulator event counts.
-	Stats Stats
+	// Metrics, when non-nil, accumulates the sweep's simulator counters
+	// and link busy-time gauges (trace.Simulate).
+	Metrics *obs.Metrics
 	// Budget is the resource envelope candidates must fit before they
 	// are measured at all: any candidate whose compiled plan trips a
 	// analyze.BudgetLints violation (peak thread blocks per rank, buffer
@@ -250,7 +249,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			blocks[pi] = append(blocks[pi], b)
 		}
 	}
-	err := runCells(opts, len(cells), func(i int) error {
+	err := RunCells(opts.Parallel, opts.Workers, len(cells), func(i int) error {
 		c := &cells[i]
 		plan, _, err := opts.Cache.CompileNoted(ctx, be, backend.Request{
 			Algo: c.Candidate.Algo, Topo: tp, Protocol: c.Protocol,
@@ -258,16 +257,13 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 		if err != nil {
 			return fmt.Errorf("tune: compile %s/%v: %w", c.Candidate.Name, c.Protocol, err)
 		}
-		res, err := sim.Run(sim.Config{
-			Topo: tp, Kernel: plan.Kernel, BufferBytes: c.Bytes, ChunkBytes: opts.ChunkBytes,
-		})
+		mr, _, err := trace.Simulate(sim.MultiConfig{
+			Topo: tp, Sessions: []sim.Session{{Kernel: plan.Kernel, BufferBytes: c.Bytes, ChunkBytes: opts.ChunkBytes}},
+		}, nil, opts.Metrics, nil, nil)
 		if err != nil {
 			return fmt.Errorf("tune: simulate %s/%v at %d: %w", c.Candidate.Name, c.Protocol, c.Bytes, err)
 		}
-		if opts.Stats != nil {
-			opts.Stats.AddSimEvents(res.Events)
-		}
-		c.Completion = res.Completion
+		c.Completion = mr.Sessions[0].Completion
 		return nil
 	})
 	if err != nil {
@@ -416,23 +412,23 @@ func candidates(tp *topo.Topology, op ir.OpType, opts Options) ([]Candidate, err
 	return out, nil
 }
 
-// runCells executes cells 0..n-1 through a worker pool when
-// opts.Parallel is set, serially otherwise — the bench harness's
-// deterministic-pool contract: results land in pre-indexed slots and
-// the lowest-indexed error wins, so parallel output is byte-identical
-// to serial.
-func runCells(opts Options, n int, cell func(i int) error) error {
+// RunCells executes cells 0..n-1 through a pool of workers goroutines
+// (0 means GOMAXPROCS) when parallel is set, serially otherwise — the
+// deterministic-pool contract the sweep and the bench harness share:
+// cells write results into pre-indexed slots and the lowest-indexed
+// error wins in both modes, so parallel output is byte-identical to
+// serial.
+func RunCells(parallel bool, workers, n int, cell func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	if !opts.Parallel || workers < 2 {
+	if !parallel || workers < 2 {
 		for i := 0; i < n; i++ {
 			if err := cell(i); err != nil {
 				return err

@@ -340,51 +340,73 @@ func (c *Communicator) RunAlgorithm(algo *Algorithm, bufferBytes int64, opts ...
 }
 
 func (c *Communicator) run(algo *Algorithm, bufferBytes int64, s runSettings) (*Run, error) {
-	plan, err := c.plan(algo, &s, c.resolveProtocol(&s, algo.Op, bufferBytes))
+	runs, err := c.execute([]*Algorithm{algo}, []int64{bufferBytes}, s, false)
 	if err != nil {
 		return nil, err
 	}
-	chunk := s.chunkBytes
-	if s.autoTune {
-		if tuned, err := core.TuneChunkSize(plan.Kernel.Graph, bufferBytes); err == nil {
-			chunk = tuned
+	return runs[0], nil
+}
+
+// execute compiles every algorithm through the plan cache and simulates
+// them side by side, one session each, recording into the call's sinks
+// through trace.Simulate. A single run is the one-session case; only
+// concurrent calls name their span "sim/concurrent(n)" and their
+// timelines "session<i>/…".
+func (c *Communicator) execute(algos []*Algorithm, bufferBytes []int64, s runSettings, concurrent bool) ([]*Run, error) {
+	plans := make([]*backend.Plan, len(algos))
+	sessions := make([]sim.Session, len(algos))
+	names := make([]string, len(algos))
+	for i, algo := range algos {
+		plan, err := c.plan(algo, &s, c.resolveProtocol(&s, algo.Op, bufferBytes[i]))
+		if err != nil {
+			return nil, err
+		}
+		chunk := s.chunkBytes
+		if s.autoTune {
+			if tuned, err := core.TuneChunkSize(plan.Kernel.Graph, bufferBytes[i]); err == nil {
+				chunk = tuned
+			}
+		}
+		plans[i] = plan
+		sessions[i] = sim.Session{Kernel: plan.Kernel, BufferBytes: bufferBytes[i], ChunkBytes: chunk}
+		names[i] = plan.Backend + "/" + plan.Algo.Name
+		if concurrent {
+			names[i] = fmt.Sprintf("session%d/%s", i, names[i])
 		}
 	}
-	span := s.trace.StartSpan("execute", "sim/"+plan.Algo.Name,
-		obs.Attr{Key: "backend", Value: plan.Backend})
-	res, err := sim.Run(sim.Config{
-		Topo:           c.topo,
-		Kernel:         plan.Kernel,
-		BufferBytes:    bufferBytes,
-		ChunkBytes:     chunk,
-		RecordTimeline: s.timeline,
-	})
-	span.End()
+	var span *obs.ActiveSpan
+	if concurrent {
+		span = s.trace.StartSpan("execute", fmt.Sprintf("sim/concurrent(%d)", len(algos)))
+	} else {
+		span = s.trace.StartSpan("execute", "sim/"+plans[0].Algo.Name,
+			obs.Attr{Key: "backend", Value: plans[0].Backend})
+	}
+	mr, tls, err := trace.Simulate(sim.MultiConfig{Topo: c.topo, Sessions: sessions, RecordTimeline: s.timeline},
+		names, s.metrics, s.trace, span)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.Add("sim.runs", 1)
-	s.metrics.Add("sim.events", int64(res.Events))
-	s.metrics.Add("sim.instances", int64(res.Instances))
-	trace.LinkBusyGauges(s.metrics, c.topo, res.LinkBusy)
-	name := plan.Algo.Name
-	if s.dispatchName != "" {
-		name = s.dispatchName
+	runs := make([]*Run, len(algos))
+	for i, res := range mr.Sessions {
+		plan := plans[i]
+		name := plan.Algo.Name
+		if s.dispatchName != "" {
+			name = s.dispatchName
+		}
+		runs[i] = &Run{
+			Backend:     plan.Backend,
+			BufferBytes: bufferBytes[i],
+			Protocol:    plan.Kernel.Protocol,
+			Completion:  time.Duration(res.Completion * float64(time.Second)),
+			algorithm:   name,
+			result:      res,
+			util:        trace.Analyze(plan.Kernel, res, plan.Backend),
+		}
+		if tls != nil {
+			runs[i].timeline = tls[i]
+		}
 	}
-	run := &Run{
-		Backend:     plan.Backend,
-		BufferBytes: bufferBytes,
-		Protocol:    plan.Kernel.Protocol,
-		Completion:  time.Duration(res.Completion * float64(time.Second)),
-		algorithm:   name,
-		result:      res,
-		util:        trace.Analyze(plan.Kernel, res, plan.Backend),
-	}
-	if s.timeline {
-		run.timeline = trace.BuildTimeline(plan.Backend+"/"+plan.Algo.Name, plan.Kernel, c.topo, res)
-		s.trace.AddTimeline(run.timeline)
-	}
-	return run, nil
+	return runs, nil
 }
 
 // resolveProtocol turns the call's protocol setting into a concrete
@@ -451,49 +473,12 @@ func (c *Communicator) RunConcurrently(algos []*Algorithm, bufferBytes []int64, 
 	if len(algos) == 0 || len(algos) != len(bufferBytes) {
 		return nil, fmt.Errorf("resccl: need equal, non-zero numbers of algorithms and buffer sizes")
 	}
-	s := c.settings(opts)
-	plans := make([]*backend.Plan, len(algos))
-	sessions := make([]sim.Session, len(algos))
-	for i, algo := range algos {
-		if bufferBytes[i] <= 0 {
+	for i, b := range bufferBytes {
+		if b <= 0 {
 			return nil, fmt.Errorf("%w: buffer %d", ErrInvalidBuffer, i)
 		}
-		plan, err := c.plan(algo, &s, c.resolveProtocol(&s, algo.Op, bufferBytes[i]))
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = plan
-		sessions[i] = sim.Session{Kernel: plan.Kernel, BufferBytes: bufferBytes[i], ChunkBytes: s.chunkBytes}
 	}
-	span := s.trace.StartSpan("execute", fmt.Sprintf("sim/concurrent(%d)", len(algos)))
-	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: c.topo, Sessions: sessions, RecordTimeline: s.timeline})
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.Add("sim.runs", 1)
-	s.metrics.Add("sim.events", int64(mr.Events))
-	trace.LinkBusyGauges(s.metrics, c.topo, mr.LinkBusy)
-	runs := make([]*Run, len(algos))
-	for i, res := range mr.Sessions {
-		plan := plans[i]
-		s.metrics.Add("sim.instances", int64(res.Instances))
-		runs[i] = &Run{
-			Backend:     plan.Backend,
-			BufferBytes: bufferBytes[i],
-			Protocol:    plan.Kernel.Protocol,
-			Completion:  time.Duration(res.Completion * float64(time.Second)),
-			algorithm:   plan.Algo.Name,
-			result:      res,
-			util:        trace.Analyze(plan.Kernel, res, plan.Backend),
-		}
-		if s.timeline {
-			name := fmt.Sprintf("session%d/%s/%s", i, plan.Backend, plan.Algo.Name)
-			runs[i].timeline = trace.BuildTimeline(name, plan.Kernel, c.topo, res)
-			s.trace.AddTimeline(runs[i].timeline)
-		}
-	}
-	return runs, nil
+	return c.execute(algos, bufferBytes, c.settings(opts), true)
 }
 
 // ExecuteAlgorithm compiles the algorithm with the communicator's

@@ -354,3 +354,29 @@ func TestAutoTunedChunks(t *testing.T) {
 			a.AlgoBandwidth()/1e9, d.AlgoBandwidth()/1e9)
 	}
 }
+
+// A one-session RunConcurrently is the same execution as RunAlgorithm,
+// auto-tuned chunk size included.
+func TestRunConcurrentlyAutoTunedChunks(t *testing.T) {
+	tp := resccl.NewTopology(2, 8, resccl.A100())
+	comm, err := resccl.NewCommunicator(tp, resccl.WithAutoTunedChunks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := resccl.BuildAlgorithm("hm-allreduce", 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := comm.RunAlgorithm(ar, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := comm.RunConcurrently([]*resccl.Algorithm{ar}, []int64{1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs[0].Completion != solo.Completion || runs[0].MicroBatches() != solo.MicroBatches() {
+		t.Errorf("RunConcurrently = %v over %d micro-batches, RunAlgorithm = %v over %d",
+			runs[0].Completion, runs[0].MicroBatches(), solo.Completion, solo.MicroBatches())
+	}
+}
