@@ -5,38 +5,74 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/obs"
 )
 
+// heavyQuick lists the experiments skipped under -short.
+var heavyQuick = map[string]bool{
+	"table1": true, "fig3": true, "fig6": true, "fig7": true,
+	"fig8": true, "fig9": true, "fig11": true, "fig13": true,
+}
+
+// quickRun is one serial run of the quick suite.
+type quickRun struct {
+	opts   Options
+	tables map[string][]*Table
+	errs   map[string]error
+}
+
+// serialQuick runs the quick suite once per test binary, the way
+// `ressclbench -exp all -quick` does: serially, in registry order,
+// sharing one plan cache and one metrics registry, with the heavy
+// experiments left out under -short. TestAllExperimentsQuick checks
+// its tables and counters; TestSerialParallelDeterminism compares
+// parallel runs against its tables.
+var serialQuick = sync.OnceValue(func() *quickRun {
+	q := &quickRun{
+		opts:   Options{Quick: true, Cache: backend.NewCache(), Metrics: obs.NewMetrics()},
+		tables: map[string][]*Table{},
+		errs:   map[string]error{},
+	}
+	for _, e := range Registry() {
+		if testing.Short() && heavyQuick[e.ID] {
+			continue
+		}
+		q.tables[e.ID], q.errs[e.ID] = e.Run(q.opts)
+	}
+	return q
+})
+
+// experiment returns the serial run's tables for e, skipping a heavy
+// experiment under -short and failing on the run's error.
+func (q *quickRun) experiment(t *testing.T, e Experiment) []*Table {
+	t.Helper()
+	if testing.Short() && heavyQuick[e.ID] {
+		t.Skip("heavy experiment skipped in -short mode")
+	}
+	if err := q.errs[e.ID]; err != nil {
+		t.Fatal(err)
+	}
+	return q.tables[e.ID]
+}
+
 // Every experiment must run to completion in Quick mode and produce
 // non-empty tables. The heavy ones are skipped under -short.
 //
-// The suite runs the way `ressclbench -exp all -quick` does: serially,
-// in registry order, sharing one plan cache and one metrics registry.
-// When every experiment ran, the deterministic counters must then equal
-// the committed BENCH_baseline.json exactly; a drift means the
-// experiments changed and the baseline must be regenerated deliberately
-// (docs/performance.md).
+// When every experiment ran, the serial run's deterministic counters
+// must then equal the committed BENCH_baseline.json exactly; a drift
+// means the experiments changed and the baseline must be regenerated
+// deliberately (docs/performance.md).
 func TestAllExperimentsQuick(t *testing.T) {
-	heavy := map[string]bool{
-		"table1": true, "fig3": true, "fig6": true, "fig7": true,
-		"fig8": true, "fig9": true, "fig11": true, "fig13": true,
-	}
-	opts := Options{Quick: true, Cache: backend.NewCache(), Metrics: obs.NewMetrics()}
+	q := serialQuick()
 	ran := 0
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && heavy[e.ID] {
-				t.Skip("heavy experiment skipped in -short mode")
-			}
-			tables, err := e.Run(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tables := q.experiment(t, e)
 			ran++
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
@@ -69,6 +105,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if err := json.Unmarshal(data, &base); err != nil {
 		t.Fatal(err)
 	}
+	opts := q.opts
 	cs := opts.Cache.Stats()
 	for _, c := range []struct {
 		key       string

@@ -45,23 +45,16 @@ func renderCSV(tables []*Table) string {
 
 // TestSerialParallelDeterminism is the tentpole's core guarantee: for
 // every registry experiment, a parallel run renders byte-identical
-// output to a serial run. Workers is forced above one so the pool path
-// is exercised even on a single-core host.
+// output to the package's one serial run (serialQuick). Workers is
+// forced above one so the pool path is exercised even on a single-core
+// host, and each parallel run has a private plan cache, so the check
+// also holds the shared cache to producing the tables of a cold one.
 func TestSerialParallelDeterminism(t *testing.T) {
-	heavy := map[string]bool{
-		"table1": true, "fig3": true, "fig6": true, "fig7": true,
-		"fig8": true, "fig9": true, "fig11": true, "fig13": true,
-	}
+	q := serialQuick()
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && heavy[e.ID] {
-				t.Skip("heavy experiment skipped in -short mode")
-			}
-			serialTabs, err := e.Run(Options{Quick: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			serialTabs := q.experiment(t, e)
 			parTabs, err := e.Run(Options{Quick: true, Parallel: true, Workers: 4})
 			if err != nil {
 				t.Fatal(err)

@@ -164,3 +164,51 @@ func writeMulti(sb *strings.Builder, name string, mr *MultiResult) {
 		}
 	}
 }
+
+// TestEventCounts checks the split of Events by kind over the golden
+// corpus: the kinds sum to Events, every instance costs one latency and
+// one live data event, and fault boundaries and stale completions show
+// up where the runs produce them. The FullResolve reruns, which must
+// count no flushes, are left out under -short.
+func TestEventCounts(t *testing.T) {
+	runs := hotPathRuns(t)
+	modes := []bool{false, true}
+	if testing.Short() {
+		modes = modes[:1]
+	}
+	for _, run := range runs {
+		for _, full := range modes {
+			cfg := run.cfg
+			cfg.FullResolve = full
+			mr, err := RunConcurrent(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", run.name, err)
+			}
+			k := mr.EventsByKind
+			if sum := k.LatencyDone + k.DataDone + k.StaleDataDone + k.Fault; sum != mr.Events {
+				t.Errorf("%s (full %v): kinds %+v sum to %d, Events = %d", run.name, full, k, sum, mr.Events)
+			}
+			instances := 0
+			for _, r := range mr.Sessions {
+				instances += r.Instances
+			}
+			if k.LatencyDone != instances || k.DataDone != instances {
+				t.Errorf("%s (full %v): %d latency and %d data events for %d instances",
+					run.name, full, k.LatencyDone, k.DataDone, instances)
+			}
+			if (k.Fault > 0) != (cfg.Faults != nil) {
+				t.Errorf("%s (full %v): %d fault events", run.name, full, k.Fault)
+			}
+			if full != (mr.Flushes == 0) {
+				t.Errorf("%s (full %v): %d flushes", run.name, full, mr.Flushes)
+			}
+		}
+	}
+	mr, err := RunConcurrent(runs[1].cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.EventsByKind.StaleDataDone == 0 {
+		t.Errorf("contended MSCCL run produced no stale data events: %+v", mr.EventsByKind)
+	}
+}

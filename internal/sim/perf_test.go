@@ -29,3 +29,30 @@ func BenchmarkLargeAllReduce(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRailScale exercises the per-instance path at scale: a 512-rank
+// hierarchical AllReduce of 64 MiB in 1 MiB chunks on a rail fabric, where
+// readiness checks, link bookkeeping and the event heap dominate and the
+// max-min solver's components stay small.
+func BenchmarkRailScale(b *testing.B) {
+	tp := topo.NewRail(64, 8, topo.A100(), 8)
+	algo, err := expert.Build("hier-allreduce", 64, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := backend.NewResCCL().Compile(context.Background(), backend.Request{Algo: algo, Topo: tp})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Run(Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: 64 << 20, ChunkBytes: 1 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = res.Events
+	}
+	b.ReportMetric(float64(events), "events/op")
+}

@@ -113,6 +113,7 @@ func (s *sim) flushRates() {
 		return
 	}
 	rs := &s.scratch
+	s.flushes++
 	s.coveredGen++
 	for _, r := range s.dirtySeeds {
 		if s.coveredMark[r] == s.coveredGen {

@@ -159,8 +159,31 @@ type MultiResult struct {
 	LinkBusy map[topo.LinkID]float64
 	// Events is the total number of discrete events processed.
 	Events int
+	// EventsByKind splits Events by what each event did.
+	EventsByKind EventCounts
+	// Flushes counts the deferred rate re-solves: one per timestamp at
+	// which some resource's flow set or capacity changed. Zero under
+	// FullResolve, which re-solves eagerly instead.
+	Flushes int
 	// Faults lists the applied fault windows, shared across sessions.
 	Faults []FaultEvent
+}
+
+// EventCounts splits a run's processed events by kind; the four fields
+// sum to the run's Events.
+type EventCounts struct {
+	// LatencyDone events end an instance's startup phase and start its
+	// data phase.
+	LatencyDone int
+	// DataDone events complete an instance.
+	DataDone int
+	// StaleDataDone events were superseded by a rate change that
+	// rescheduled the flow's completion, and did nothing. Their share is
+	// the part of the event heap that rate changes, not instances, put
+	// there.
+	StaleDataDone int
+	// Fault events fire fault-schedule boundaries.
+	Fault int
 }
 
 // MeanLinkUtilization returns the average busy fraction over links that
@@ -235,127 +258,99 @@ const (
 	evLatencyDone = iota
 	evDataDone
 	// evFault fires a fault-schedule boundary (fault.go); the event's
-	// task field carries the boundary index.
+	// argument is the boundary index.
 	evFault
 )
 
 // gid is a global task index across sessions.
 type gid = int32
 
+// event is one scheduled occurrence, as the queue (queue.go) takes and
+// returns it.
 type event struct {
-	time    float64
-	seq     int
-	kind    int
-	task    gid
-	version int // guards stale data-done events after rate changes
+	time float64
+	// arg is the task's global id, or the fault boundary's index.
+	arg int32
+	// version guards stale data-done events after rate changes: the
+	// event is live only while it matches its task's version.
+	version uint32
+	kind    uint8
 }
 
-// eventHeap is a hand-rolled binary min-heap over event values. The
-// standard container/heap would box every event into an interface on
-// Push and Pop — one allocation each — which dominates the simulator's
-// steady-state allocation profile; the typed heap keeps events inline.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	// Sift up.
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !hh.less(i, parent) {
-			break
-		}
-		hh[i], hh[parent] = hh[parent], hh[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	hh := *h
-	n := len(hh) - 1
-	top := hh[0]
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && hh.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && hh.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		hh[i], hh[smallest] = hh[smallest], hh[i]
-		i = smallest
-	}
-	return top
-}
-
+// tbState is one thread block's execution state. It holds no pointers,
+// so the collector never scans the array; the program is the session
+// kernel's TBs[id - tbOff].
 type tbState struct {
-	prog *kernel.TBProgram
-	sess int
-	// next is the index of the next instruction to issue.
-	next int
+	sess int32
+	// task is the global id of the pending instruction's task, set by
+	// arrive; -1 once the TB retired.
+	task gid
+	// next counts issued instructions; the TB retires at nInstr.
+	next, nInstr int32
+	// slot and mb locate the pending instruction in the TB's loop order
+	// (kernel.TBProgram.Instr), advanced in step with next so no
+	// instruction is ever decoded by division. slotOff locates the TB's
+	// rows in sim.slotTask.
+	slot, mb, nSlots, slotOff int32
+	taskMajor                 bool
+	done                      bool
 	// arrival is when the TB reached its current instruction.
 	arrival float64
 	// started is when the current instance began transferring.
-	started  float64
-	inFlight bool
-	done     bool
+	started float64
 
 	firstArrival float64
 	release      float64
 	exec, sync   float64
-
-	// segments holds merged [start,end) busy intervals when timeline
-	// recording is enabled.
-	segments [][2]float64
 }
 
-type taskState struct {
-	sess int32
-	// local is the task's index within its session's graph.
-	local ir.TaskID
+// taskReady is the part of a task's state that readiness checks read:
+// the dependency and wake paths touch it for tasks other than the one
+// finishing, so it is kept apart from taskState and small enough that
+// those scattered reads stay in cache.
+type taskReady struct {
 	// doneMB is the number of completed micro-batch invocations; the
 	// pending invocation is always index doneMB (strict serial order).
-	doneMB int
+	doneMB int32
+	// depsDone counts the task's data dependencies that are past its
+	// pending invocation (their doneMB exceeds this task's); the
+	// dependencies are met when it reaches nDeps. predsDone counts link
+	// predecessors that drained every invocation, against nPreds.
+	depsDone, nDeps   int32
+	predsDone, nPreds int32
 	// sendArr/recvArr mark that the task's TBs have arrived at the
 	// pending invocation.
 	sendArr, recvArr bool
 	inFlight         bool
+}
+
+// taskState is the rest of a task's state; the task's index in its
+// session's graph is its global id less the session's taskOff.
+type taskState struct {
+	sess int32
+	// sendTB/recvTB are the global ids of the task's two thread blocks.
+	sendTB, recvTB int32
+	// The task's data dependencies (taskReady.nDeps of them), its
+	// dependents and its link successors (tasks whose LinkPreds include
+	// it), as global ids, are consecutive windows of sim.adj starting at
+	// adjOff.
+	adjOff, nDependents, nSucc int32
 	// flow state while in the data phase.
+	active     bool
+	version    uint32
 	remaining  float64
 	rate       float64
 	lastUpdate float64
-	active     bool
-	version    int
 	cap        float64
-	resources  []topo.ResourceID
 	alpha      float64
-	// linkSucc lists tasks (global ids) whose LinkPreds include this
-	// task.
-	linkSucc []gid
+	resources  []topo.ResourceID
 }
 
 // session holds one kernel's execution state within a concurrent run.
 type session struct {
 	k      *kernel.Kernel
 	plan   simcost.Plan
+	nMB    int32
 	buffer int64
 	interp float64
 	// wire inflates each chunk's payload bytes to wire bytes under the
@@ -376,7 +371,7 @@ type session struct {
 	// mbRemaining[i] counts unfinished task invocations of micro-batch
 	// i when the kernel runs with a per-micro-batch barrier.
 	mbRemaining []int
-	mbReleased  int
+	mbReleased  int32
 
 	// timeline accumulates per-instance spans under RecordTimeline.
 	timeline []InstanceSpan
@@ -389,11 +384,19 @@ type sim struct {
 	sessions []*session
 
 	now    float64
-	events eventHeap
-	seq    int
+	events eventQueue
 
-	tbs   []*tbState
+	tbs   []tbState
 	tasks []taskState
+	ready []taskReady
+	// slotTask[tb.slotOff+slot] is the global id of the task behind the
+	// TB's slot, shifted left once, with the low bit set for a send
+	// primitive.
+	slotTask []int32
+	// adj holds every task's adjacency lists (taskState.adjOff); one
+	// contiguous arena keeps a finishing task's wake-ups in one or two
+	// cache lines.
+	adj []gid
 
 	// Active-flow membership per resource, stored as a CSR arena sized
 	// from the plans at construction: resource r's active flows live in
@@ -407,9 +410,13 @@ type sim struct {
 	resCnt   []int32
 	// resBusy accounting.
 	resBusy      []float64
-	resActiveCnt []int
+	resActiveCnt []int32
 	resBusyStart []float64
-	usedLinks    map[topo.LinkID]struct{}
+	// linkUsed[l] marks communication links that carried a transfer.
+	linkUsed []bool
+	// segments[tb] holds TB tb's merged [start,end) busy intervals when
+	// timeline recording is enabled (nil otherwise).
+	segments [][][2]float64
 
 	// Deferred-solve state (rates.go): resources perturbed at the
 	// current timestamp, deduplicated by a generation mark, plus the
@@ -424,8 +431,11 @@ type sim struct {
 	fullResolve bool
 
 	doneTBs int
-	// processed counts events handled by run().
+	// processed counts events handled by run(), split by kind in
+	// counts; flushes counts rate flushes that re-solved something.
 	processed int
+	counts    EventCounts
+	flushes   int
 
 	// scratch holds the allocation-free working state of the rate
 	// computation (rates.go).
@@ -443,21 +453,22 @@ type sim struct {
 
 func newSim(cfg MultiConfig) *sim {
 	t := cfg.Topo
+	nRes := t.NResources()
 	s := &sim{
 		cfg:          cfg,
 		topo:         t,
-		resBusy:      make([]float64, t.NResources()),
-		resActiveCnt: make([]int, t.NResources()),
-		resBusyStart: make([]float64, t.NResources()),
-		usedLinks:    make(map[topo.LinkID]struct{}),
-		dirtyMark:    make([]int32, t.NResources()),
-		coveredMark:  make([]int32, t.NResources()),
+		resBusy:      make([]float64, nRes),
+		resActiveCnt: make([]int32, nRes),
+		resBusyStart: make([]float64, nRes),
+		linkUsed:     make([]bool, nRes),
+		dirtyMark:    make([]int32, nRes),
+		coveredMark:  make([]int32, nRes),
 		dirtyGen:     1,
 		coveredGen:   0,
 		fullResolve:  cfg.FullResolve,
 	}
 	if len(cfg.Congestion) > 0 {
-		s.congestion = make([]float64, t.NResources())
+		s.congestion = make([]float64, nRes)
 		// Map→slice copy keyed by resource index: order-independent.
 		for r, f := range cfg.Congestion { //resccl:allow mapiter
 			if f < 0 {
@@ -469,15 +480,33 @@ func newSim(cfg MultiConfig) *sim {
 			s.congestion[r] = f
 		}
 	}
-	totalTasks, totalTBs := 0, 0
+	totalTasks, totalTBs, totalSlots, totalAdj := 0, 0, 0, 0
 	for _, sc := range cfg.Sessions {
-		totalTasks += len(sc.Kernel.Graph.Tasks)
+		g := sc.Kernel.Graph
+		totalTasks += len(g.Tasks)
 		totalTBs += len(sc.Kernel.TBs)
+		for _, prog := range sc.Kernel.TBs {
+			totalSlots += len(prog.Slots)
+		}
+		for i := range g.Tasks {
+			totalAdj += len(g.Deps[i]) + len(g.Dependents[i])
+		}
+		for _, preds := range sc.Kernel.LinkPreds {
+			totalAdj += len(preds)
+		}
 	}
 	s.tasks = make([]taskState, totalTasks)
-	s.tbs = make([]*tbState, totalTBs)
+	s.ready = make([]taskReady, totalTasks)
+	s.tbs = make([]tbState, totalTBs)
+	s.slotTask = make([]int32, totalSlots)
+	if cfg.RecordTimeline {
+		s.segments = make([][][2]float64, totalTBs)
+	}
+	s.adj = make([]gid, totalAdj)
+	// Each in-flight instance holds one live event and drives two TBs.
+	s.events = newEventQueue(totalTBs/2 + 16)
 
-	taskOff, tbOff := gid(0), 0
+	taskOff, tbOff, slotOff, adjOff := gid(0), 0, 0, int32(0)
 	for si, sc := range cfg.Sessions {
 		k := sc.Kernel
 		// The kernel's protocol tier shapes the session's micro-batch
@@ -495,6 +524,7 @@ func newSim(cfg MultiConfig) *sim {
 			nTasks:  len(k.Graph.Tasks),
 			nTBs:    len(k.TBs),
 		}
+		se.nMB = int32(se.plan.NMicroBatches)
 		if k.Mode == kernel.ModeInterpreted {
 			se.interp = t.InterpCost.Seconds()
 		}
@@ -503,15 +533,43 @@ func newSim(cfg MultiConfig) *sim {
 			ts := &s.tasks[int(taskOff)+i]
 			p := g.Paths[i]
 			ts.sess = int32(si)
-			ts.local = ir.TaskID(i)
 			ts.cap = p.TBCap
 			ts.resources = p.Resources
 			ts.alpha = p.Alpha.Seconds() * params.AlphaFactor
+			s.ready[int(taskOff)+i].nDeps = int32(len(g.Deps[i]))
+			ts.sendTB = int32(tbOff + k.SendTB[i])
+			ts.recvTB = int32(tbOff + k.RecvTB[i])
+		}
+		// Lay out each task's adjacency in s.adj: first count link
+		// successors, then place the lists, then fill the successors in
+		// LinkPreds order with nSucc as the cursor.
+		for lt, preds := range k.LinkPreds {
+			s.ready[int(taskOff)+lt].nPreds = int32(len(preds))
+			for _, p := range preds {
+				s.tasks[int(taskOff)+int(p)].nSucc++
+			}
+		}
+		for i := 0; i < se.nTasks; i++ {
+			ts := &s.tasks[int(taskOff)+i]
+			ts.adjOff = adjOff
+			ts.nDependents = int32(len(g.Dependents[i]))
+			for _, d := range g.Deps[i] {
+				s.adj[adjOff] = taskOff + gid(d)
+				adjOff++
+			}
+			for _, d := range g.Dependents[i] {
+				s.adj[adjOff] = taskOff + gid(d)
+				adjOff++
+			}
+			adjOff += ts.nSucc
+			ts.nSucc = 0
 		}
 		for lt, preds := range k.LinkPreds {
 			for _, p := range preds {
-				s.tasks[int(taskOff)+int(p)].linkSucc =
-					append(s.tasks[int(taskOff)+int(p)].linkSucc, taskOff+gid(lt))
+				ts := &s.tasks[int(taskOff)+int(p)]
+				nDeps := s.ready[int(taskOff)+int(p)].nDeps
+				s.adj[ts.adjOff+nDeps+ts.nDependents+ts.nSucc] = taskOff + gid(lt)
+				ts.nSucc++
 			}
 		}
 		if k.MBBarrier {
@@ -525,7 +583,22 @@ func newSim(cfg MultiConfig) *sim {
 			start = t.KernelLoad.Seconds()
 		}
 		for i, prog := range k.TBs {
-			s.tbs[tbOff+i] = &tbState{prog: prog, sess: si, arrival: start, firstArrival: start}
+			s.tbs[tbOff+i] = tbState{
+				sess:      int32(si),
+				nInstr:    int32(prog.NInstr(se.plan.NMicroBatches)),
+				nSlots:    int32(len(prog.Slots)),
+				slotOff:   int32(slotOff),
+				taskMajor: prog.Order == kernel.TaskMajor,
+				arrival:   start, firstArrival: start,
+			}
+			for j, sl := range prog.Slots {
+				v := (taskOff + gid(sl.Task.ID)) << 1
+				if sl.Kind == ir.PrimSend {
+					v |= 1
+				}
+				s.slotTask[slotOff+j] = v
+			}
+			slotOff += len(prog.Slots)
 		}
 		s.sessions = append(s.sessions, se)
 		taskOff += gid(se.nTasks)
@@ -533,8 +606,8 @@ func newSim(cfg MultiConfig) *sim {
 	}
 	// Size the flow-membership arena from the plans: each resource gets
 	// exactly as many slots as tasks crossing it.
-	s.resSlot = make([]int32, t.NResources()+1)
-	s.resCnt = make([]int32, t.NResources())
+	s.resSlot = make([]int32, nRes+1)
+	s.resCnt = make([]int32, nRes)
 	for i := range s.tasks {
 		for _, r := range s.tasks[i].resources {
 			s.resSlot[r+1]++
@@ -544,7 +617,7 @@ func newSim(cfg MultiConfig) *sim {
 		s.resSlot[r] += s.resSlot[r-1]
 	}
 	s.resArena = make([]gid, s.resSlot[len(s.resSlot)-1])
-	s.scratch.init(totalTasks, t.NResources())
+	s.scratch.init(totalTasks, nRes)
 	return s
 }
 
@@ -577,21 +650,15 @@ func (s *sim) leaveResource(r topo.ResourceID, t gid) {
 // sess returns the session owning a global task id.
 func (s *sim) sess(t gid) *session { return s.sessions[s.tasks[t].sess] }
 
-func (s *sim) push(e event) {
-	e.seq = s.seq
-	s.seq++
-	s.events.push(e)
-}
-
 func (s *sim) run() error {
 	// Arm the first fault boundary (no-op for fault-free runs).
 	s.pushNextBound()
 	// Initial arrivals.
-	for _, tb := range s.tbs {
-		s.arrive(tb)
+	for i := range s.tbs {
+		s.arrive(&s.tbs[i])
 	}
 	for i := range s.tbs {
-		s.tryStart(s.currentTask(s.tbs[i]))
+		s.tryStart(s.tbs[i].task)
 	}
 	// Budget: every instance costs two lifecycle events plus rate-change
 	// reschedules proportional to its contention component size.
@@ -618,22 +685,27 @@ func (s *sim) run() error {
 		s.now = e.time
 		switch e.kind {
 		case evLatencyDone:
-			s.enterDataPhase(e.task)
+			s.counts.LatencyDone++
+			s.enterDataPhase(e.arg)
 		case evDataDone:
-			ts := &s.tasks[e.task]
+			ts := &s.tasks[e.arg]
 			if ts.active && ts.version == e.version {
-				s.finishInstance(e.task)
+				s.counts.DataDone++
+				s.finishInstance(e.arg)
+			} else {
+				// Stale: rates changed since this event was scheduled.
+				s.counts.StaleDataDone++
 			}
-			// else stale: rates changed since this event was scheduled
 		case evFault:
-			s.applyFaultBound(int(e.task))
+			s.counts.Fault++
+			s.applyFaultBound(int(e.arg))
 		}
 		// Rate solves are deferred while events share a timestamp: zero
 		// simulated time elapses between them, so one solve over the
 		// final state of the batch is exact (rates.go). Flushing may
 		// schedule further events at the current instant (a drained flow
 		// completes "now"), which simply extends the batch.
-		if s.events.Len() == 0 || s.events[0].time != s.now {
+		if s.events.Len() == 0 || s.events.minTime() != s.now {
 			s.flushRates()
 		}
 	}
@@ -644,31 +716,19 @@ func (s *sim) run() error {
 	return nil
 }
 
-// currentTask returns the global task id of the TB's pending
-// instruction, or -1 if the TB is done.
-func (s *sim) currentTask(tb *tbState) gid {
-	if tb.done {
-		return -1
-	}
-	se := s.sessions[tb.sess]
-	slot, _ := tb.prog.Instr(tb.next, se.plan.NMicroBatches)
-	return se.taskOff + gid(tb.prog.Slots[slot].Task.ID)
-}
-
-// arrive marks the TB as having reached its pending instruction and
-// registers the arrival with the task.
+// arrive moves the TB to its pending instruction: it caches the
+// instruction's task and registers the arrival with it.
 func (s *sim) arrive(tb *tbState) {
 	if tb.done {
 		return
 	}
-	se := s.sessions[tb.sess]
-	t := s.currentTask(tb)
-	ts := &s.tasks[t]
-	slot, _ := tb.prog.Instr(tb.next, se.plan.NMicroBatches)
-	if tb.prog.Slots[slot].Kind == ir.PrimSend {
-		ts.sendArr = true
+	v := s.slotTask[tb.slotOff+tb.slot]
+	tb.task = v >> 1
+	rd := &s.ready[tb.task]
+	if v&1 != 0 {
+		rd.sendArr = true
 	} else {
-		ts.recvArr = true
+		rd.recvArr = true
 	}
 	tb.arrival = s.now
 	if tb.arrival < tb.firstArrival {
@@ -676,61 +736,75 @@ func (s *sim) arrive(tb *tbState) {
 	}
 }
 
+// advance retires the TB's current instruction and steps slot and mb
+// along its loop order; it reports false once the TB has retired.
+func (tb *tbState) advance(nMB int32) bool {
+	tb.next++
+	if tb.next >= tb.nInstr {
+		return false
+	}
+	if tb.taskMajor {
+		if tb.mb++; tb.mb == nMB {
+			tb.mb = 0
+			tb.slot++
+		}
+	} else if tb.slot++; tb.slot == tb.nSlots {
+		tb.slot = 0
+		tb.mb++
+	}
+	return true
+}
+
 // tryStart launches the pending invocation of task t if every readiness
 // condition holds: both TBs arrived, data dependencies done for this
 // micro-batch, and (ResCCL kernels) all link predecessors fully drained.
+// t < 0 (a retired TB's task) is a no-op.
 func (s *sim) tryStart(t gid) {
 	if t < 0 {
 		return
 	}
+	rd := &s.ready[t]
+	if rd.inFlight || !rd.sendArr || !rd.recvArr ||
+		rd.depsDone < rd.nDeps || rd.predsDone < rd.nPreds {
+		return
+	}
 	ts := &s.tasks[t]
-	se := s.sess(t)
-	if ts.inFlight || ts.doneMB >= se.plan.NMicroBatches {
+	se := s.sessions[ts.sess]
+	if rd.doneMB >= se.nMB {
 		return
 	}
-	if !ts.sendArr || !ts.recvArr {
-		return
-	}
-	i := ts.doneMB
-	if se.k.MBBarrier && i > se.mbReleased {
+	if se.k.MBBarrier && rd.doneMB > se.mbReleased {
 		return // lazy execution: previous micro-batch still in flight
-	}
-	g := se.k.Graph
-	for _, d := range g.Deps[ts.local] {
-		if s.tasks[se.taskOff+gid(d)].doneMB <= i {
-			return
-		}
-	}
-	for _, p := range se.k.LinkPreds[ts.local] {
-		if s.tasks[se.taskOff+gid(p)].doneMB < se.plan.NMicroBatches {
-			return
-		}
 	}
 	// Start: both TBs transition from waiting to executing, and the
 	// path's resources are committed to the transfer (busy accounting
 	// covers the startup phase as well as data movement).
-	ts.inFlight = true
-	for _, tbID := range []int{se.k.SendTB[ts.local], se.k.RecvTB[ts.local]} {
-		tb := s.tbs[se.tbOff+tbID]
-		tb.sync += s.now - tb.arrival
-		tb.started = s.now
-		tb.inFlight = true
-	}
+	rd.inFlight = true
+	s.startTB(&s.tbs[ts.sendTB])
+	s.startTB(&s.tbs[ts.recvTB])
 	for _, r := range ts.resources {
 		s.resActiveCnt[r]++
 		if s.resActiveCnt[r] == 1 {
 			s.resBusyStart[r] = s.now
 		}
 	}
-	for _, l := range g.Links[ts.local] {
-		s.usedLinks[l] = struct{}{}
+	if rd.doneMB == 0 {
+		// Later invocations cross the same links.
+		for _, l := range se.k.Graph.Links[t-se.taskOff] {
+			s.linkUsed[l] = true
+		}
 	}
 	lat := ts.alpha + 2*se.interp
 	if s.fault != nil {
 		// A straggling TB pays its slowdown on the startup phase too.
 		lat *= s.taskSlow(t)
 	}
-	s.push(event{time: s.now + lat, kind: evLatencyDone, task: t})
+	s.events.push(event{time: s.now + lat, kind: evLatencyDone, arg: t})
+}
+
+func (s *sim) startTB(tb *tbState) {
+	tb.sync += s.now - tb.arrival
+	tb.started = s.now
 }
 
 // enterDataPhase joins the flow to its resources and marks the affected
@@ -750,9 +824,14 @@ func (s *sim) enterDataPhase(t gid) {
 
 // finishInstance completes the pending invocation of task t: leave the
 // resources, advance both TBs, release dependents and link successors.
+//
+// Readiness counters are brought up to date before any tryStart, so
+// every wake sees the post-completion state; the wakes then run in a
+// fixed order (the TBs' next tasks, dependents, link successors, the
+// micro-batch barrier), which fixes the order of same-time events.
 func (s *sim) finishInstance(t gid) {
 	ts := &s.tasks[t]
-	se := s.sess(t)
+	se := s.sessions[ts.sess]
 	for _, r := range ts.resources {
 		s.leaveResource(r, t)
 		s.resActiveCnt[r]--
@@ -760,91 +839,136 @@ func (s *sim) finishInstance(t gid) {
 			s.resBusy[r] += s.now - s.resBusyStart[r]
 		}
 	}
+	rd := &s.ready[t]
+	mb := rd.doneMB
 	ts.active = false
-	ts.inFlight = false
-	ts.sendArr = false
-	ts.recvArr = false
-	ts.doneMB++
+	rd.inFlight = false
+	rd.sendArr = false
+	rd.recvArr = false
+	rd.doneMB++
 	se.instances++
 
 	// Rates of former sharers may rise.
 	s.markDirty(ts.resources)
 
-	sendTB := s.tbs[se.tbOff+se.k.SendTB[ts.local]]
-	recvTB := s.tbs[se.tbOff+se.k.RecvTB[ts.local]]
+	// This task is now past micro-batch mb: dependents pending at exactly
+	// mb gain one met dependency (a dependent cannot be pending beyond
+	// a dependency, and one pending earlier already counted it). The
+	// task itself moves to its next invocation, so its own count starts
+	// over against its dependencies' progress.
+	deps, dependents, succs := s.adjacency(t)
+	for _, x := range dependents {
+		if dr := &s.ready[x]; dr.doneMB == mb {
+			dr.depsDone++
+		}
+	}
+	if len(deps) > 0 {
+		n := int32(0)
+		for _, d := range deps {
+			if s.ready[d].doneMB > rd.doneMB {
+				n++
+			}
+		}
+		rd.depsDone = n
+	}
+	drained := rd.doneMB == se.nMB
+	if drained {
+		for _, x := range succs {
+			s.ready[x].predsDone++
+		}
+	}
+
+	sendTB, recvTB := &s.tbs[ts.sendTB], &s.tbs[ts.recvTB]
 	if s.cfg.RecordTimeline {
-		task := se.k.Graph.Tasks[ts.local]
+		g, local := se.k.Graph, ir.TaskID(t-se.taskOff)
+		task := g.Tasks[local]
 		se.timeline = append(se.timeline, InstanceSpan{
-			Task: ts.local, MB: ts.doneMB - 1,
+			Task: local, MB: int(mb),
 			Src: task.Src, Dst: task.Dst,
-			SendTB: se.k.SendTB[ts.local], RecvTB: se.k.RecvTB[ts.local],
+			SendTB: int(ts.sendTB) - se.tbOff, RecvTB: int(ts.recvTB) - se.tbOff,
 			Start: sendTB.started, End: s.now,
-			Links: se.k.Graph.Links[ts.local],
+			Links: g.Links[local],
 		})
 	}
-	for _, tb := range []*tbState{sendTB, recvTB} {
-		tb.exec += s.now - tb.started
-		if s.cfg.RecordTimeline {
-			if n := len(tb.segments); n > 0 && tb.segments[n-1][1] >= tb.started-1e-12 {
-				tb.segments[n-1][1] = s.now
-			} else {
-				tb.segments = append(tb.segments, [2]float64{tb.started, s.now})
-			}
+	s.retireInstr(se, ts.sendTB)
+	s.retireInstr(se, ts.recvTB)
+	// Wake the TBs' new tasks, the dependents, and link successors. The
+	// same task may still have micro-batches left (its TBs loop on it);
+	// the TB wakes cover that case because the TB's task is t again.
+	s.tryStart(sendTB.task)
+	s.tryStart(recvTB.task)
+	for _, x := range dependents {
+		if s.ready[x].doneMB == mb {
+			s.tryStart(x)
 		}
-		tb.inFlight = false
-		tb.next++
-		if tb.next >= tb.prog.NInstr(se.plan.NMicroBatches) {
-			tb.done = true
-			tb.release = s.now
-			s.doneTBs++
-			se.doneTBs++
-			if se.doneTBs == se.nTBs {
-				se.completion = s.now
-			}
-			continue
-		}
-		s.arrive(tb)
 	}
-	// Wake the TBs' new tasks, the dependents, and link successors.
-	s.tryStart(s.currentTask(sendTB))
-	s.tryStart(s.currentTask(recvTB))
-	// The same task may still have micro-batches left (its TBs loop on
-	// it); tryStart above covers that case because currentTask returns t
-	// again.
-	for _, dep := range se.k.Graph.Dependents[ts.local] {
-		s.tryStart(se.taskOff + gid(dep))
-	}
-	if ts.doneMB == se.plan.NMicroBatches {
-		for _, succ := range ts.linkSucc {
-			s.tryStart(succ)
+	if drained {
+		for _, x := range succs {
+			s.tryStart(x)
 		}
 	}
 	if se.mbRemaining != nil {
-		mb := ts.doneMB - 1
 		se.mbRemaining[mb]--
 		if se.mbRemaining[mb] == 0 && mb+1 > se.mbReleased {
 			se.mbReleased = mb + 1
 			// The barrier lifted: every waiting TB of this session may
 			// now proceed.
 			for i := 0; i < se.nTBs; i++ {
-				s.tryStart(s.currentTask(s.tbs[se.tbOff+i]))
+				s.tryStart(s.tbs[se.tbOff+i].task)
 			}
 		}
 	}
 }
 
+// adjacency returns the task's data dependencies, dependents and link
+// successors.
+func (s *sim) adjacency(t gid) (deps, dependents, succs []gid) {
+	ts, nDeps := &s.tasks[t], s.ready[t].nDeps
+	a := s.adj[ts.adjOff : ts.adjOff+nDeps+ts.nDependents+ts.nSucc]
+	return a[:nDeps], a[nDeps : nDeps+ts.nDependents], a[nDeps+ts.nDependents:]
+}
+
+// retireInstr charges the finished instance to the TB and moves it to
+// its next instruction, or retires it.
+func (s *sim) retireInstr(se *session, id int32) {
+	tb := &s.tbs[id]
+	tb.exec += s.now - tb.started
+	if s.segments != nil {
+		segs := s.segments[id]
+		if n := len(segs); n > 0 && segs[n-1][1] >= tb.started-1e-12 {
+			segs[n-1][1] = s.now
+		} else {
+			s.segments[id] = append(segs, [2]float64{tb.started, s.now})
+		}
+	}
+	if tb.advance(se.nMB) {
+		s.arrive(tb)
+		return
+	}
+	tb.done = true
+	tb.task = -1
+	tb.release = s.now
+	s.doneTBs++
+	se.doneTBs++
+	if se.doneTBs == se.nTBs {
+		se.completion = s.now
+	}
+}
+
 func (s *sim) deadlockError() error {
 	var blocked []string
-	for _, tb := range s.tbs {
+	for i := range s.tbs {
+		tb := &s.tbs[i]
 		if tb.done {
 			continue
 		}
-		t := s.currentTask(tb)
-		ts := &s.tasks[t]
+		rd := &s.ready[tb.task]
+		se := s.sessions[tb.sess]
+		prog := se.k.TBs[i-se.tbOff]
 		blocked = append(blocked, fmt.Sprintf(
 			"session %d TB %d (%s) at task %d mb %d/%d (sendArr=%v recvArr=%v)",
-			tb.sess, tb.prog.ID, tb.prog.Label, ts.local, ts.doneMB,
-			s.sessions[tb.sess].plan.NMicroBatches, ts.sendArr, ts.recvArr))
+			tb.sess, prog.ID, prog.Label, tb.task-se.taskOff, rd.doneMB,
+			se.plan.NMicroBatches, rd.sendArr, rd.recvArr))
 		if len(blocked) >= 8 {
 			break
 		}
@@ -854,17 +978,26 @@ func (s *sim) deadlockError() error {
 }
 
 func (s *sim) result() *MultiResult {
+	nUsed := 0
+	for _, used := range s.linkUsed {
+		if used {
+			nUsed++
+		}
+	}
 	mr := &MultiResult{
-		Completion: s.now,
-		LinkBusy:   make(map[topo.LinkID]float64, len(s.usedLinks)),
-		Events:     s.processed,
+		Completion:   s.now,
+		LinkBusy:     make(map[topo.LinkID]float64, nUsed),
+		Events:       s.processed,
+		EventsByKind: s.counts,
+		Flushes:      s.flushes,
 	}
 	if s.fault != nil {
 		mr.Faults = s.fault.applied
 	}
-	// Map→map copy: order-independent.
-	for l := range s.usedLinks { //resccl:allow mapiter
-		mr.LinkBusy[l] = s.resBusy[l]
+	for l, used := range s.linkUsed {
+		if used {
+			mr.LinkBusy[topo.LinkID(l)] = s.resBusy[l]
+		}
 	}
 	for _, se := range s.sessions {
 		r := &Result{
@@ -875,23 +1008,28 @@ func (s *sim) result() *MultiResult {
 			LinkBusy:   mr.LinkBusy,
 			Faults:     mr.Faults,
 			Timeline:   se.timeline,
+			TBs:        make([]TBStats, se.nTBs),
 		}
 		if se.buffer > 0 && se.completion > 0 {
 			r.AlgoBW = float64(se.buffer) / se.completion
 		}
-		for i := 0; i < se.nTBs; i++ {
-			tb := s.tbs[se.tbOff+i]
-			r.TBs = append(r.TBs, TBStats{
-				ID:           tb.prog.ID,
-				Rank:         tb.prog.Rank,
-				Label:        tb.prog.Label,
-				Segments:     tb.segments,
+		for i, prog := range se.k.TBs {
+			tb := &s.tbs[se.tbOff+i]
+			var segs [][2]float64
+			if s.segments != nil {
+				segs = s.segments[se.tbOff+i]
+			}
+			r.TBs[i] = TBStats{
+				ID:           prog.ID,
+				Rank:         prog.Rank,
+				Label:        prog.Label,
+				Segments:     segs,
 				FirstArrival: tb.firstArrival,
 				Release:      tb.release,
 				Exec:         tb.exec,
 				Sync:         tb.sync,
-				Slots:        len(tb.prog.Slots),
-			})
+				Slots:        len(prog.Slots),
+			}
 		}
 		sort.Slice(r.TBs, func(i, j int) bool { return r.TBs[i].ID < r.TBs[j].ID })
 		mr.Sessions = append(mr.Sessions, r)
@@ -914,7 +1052,7 @@ func (s *sim) scheduleDataDone(t gid) {
 	if ts.remaining <= 1e-9 {
 		fin = s.now
 	}
-	s.push(event{time: fin, kind: evDataDone, task: t, version: ts.version})
+	s.events.push(event{time: fin, kind: evDataDone, arg: t, version: ts.version})
 }
 
 // advanceFlow charges elapsed transmission to the flow's remaining bytes.

@@ -72,9 +72,11 @@ func BuildTimeline(name string, k *kernel.Kernel, tp *topo.Topology, res *sim.Re
 
 // Simulate runs sim.RunConcurrent and records what it observed — the
 // one place a simulation's counters, link gauges and timelines enter the
-// obs sinks. Into m it adds sim.runs (+1), sim.events, every session's
-// sim.instances and a "link.busy_seconds.<link>" gauge per busy link,
-// all accumulating across runs. When cfg.RecordTimeline is set it builds
+// obs sinks. Into m it adds sim.runs (+1), sim.events, its split by kind
+// (sim.events.latency_done, .data_done, .stale_data_done and .fault),
+// sim.flushes (deferred rate re-solves), every session's sim.instances
+// and a "link.busy_seconds.<link>" gauge per busy link, all
+// accumulating across runs. When cfg.RecordTimeline is set it builds
 // one timeline per session, named names[i], adds each to tr and returns
 // them aligned with cfg.Sessions. A non-nil span is ended as soon as the
 // simulator returns, so it times the simulation and not the recording.
@@ -89,6 +91,11 @@ func Simulate(cfg sim.MultiConfig, names []string, m *obs.Metrics, tr *obs.Trace
 	if m != nil {
 		m.Add("sim.runs", 1)
 		m.Add("sim.events", int64(mr.Events))
+		m.Add("sim.events.latency_done", int64(mr.EventsByKind.LatencyDone))
+		m.Add("sim.events.data_done", int64(mr.EventsByKind.DataDone))
+		m.Add("sim.events.stale_data_done", int64(mr.EventsByKind.StaleDataDone))
+		m.Add("sim.events.fault", int64(mr.EventsByKind.Fault))
+		m.Add("sim.flushes", int64(mr.Flushes))
 		for _, res := range mr.Sessions {
 			m.Add("sim.instances", int64(res.Instances))
 		}

@@ -174,10 +174,19 @@ func TestSimulate(t *testing.T) {
 			mr.Completion, mr.Events, want.Completion, want.Events)
 	}
 	instances := int64(mr.Sessions[0].Instances + mr.Sessions[1].Instances)
-	for name, v := range map[string]int64{"sim.runs": 1, "sim.events": int64(mr.Events), "sim.instances": instances} {
+	k := mr.EventsByKind
+	for name, v := range map[string]int64{
+		"sim.runs": 1, "sim.events": int64(mr.Events), "sim.instances": instances,
+		"sim.events.latency_done": int64(k.LatencyDone), "sim.events.data_done": int64(k.DataDone),
+		"sim.events.stale_data_done": int64(k.StaleDataDone), "sim.events.fault": int64(k.Fault),
+		"sim.flushes": int64(mr.Flushes),
+	} {
 		if got := m.Counter(name); got != v {
 			t.Errorf("%s = %d, want %d", name, got, v)
 		}
+	}
+	if k.LatencyDone == 0 || k.DataDone == 0 || mr.Flushes == 0 {
+		t.Errorf("events by kind %+v, %d flushes: a run has latency and data events and re-solves rates", k, mr.Flushes)
 	}
 	if len(tls) != 2 || tls[0].Name != "a" || tls[1].Name != "b" {
 		t.Fatalf("timelines = %v, want one per session named a, b", tls)
